@@ -12,8 +12,9 @@
 //        lsm         — Accumulo-model tablet store (memtable+runs+WAL)
 //        btree       — OLTP-model B+tree with WAL (Oracle TPC-C shape)
 //
-//  (2) MODELLED (SuperCloud substitution, DESIGN.md §3): weak-scaling
-//      extrapolation rate(S) = S * instances/node * per-instance rate *
+//  (2) MODELLED (SuperCloud substitution, see the header comment of
+//      cluster/scaling_model.hpp): weak-scaling extrapolation
+//      rate(S) = S * instances/node * per-instance rate *
 //      measured intra-node efficiency, printed next to the *published*
 //      rates the paper overlays in Fig. 2 (Hierarchical D4M, Accumulo
 //      D4M, SciDB D4M, Accumulo, CrateDB, Oracle TPC-C).

@@ -50,8 +50,8 @@ int main() {
               "efficiency %.2f, 28 instances/server\n",
               model.per_instance_rate, model.intra_node_efficiency);
 
-  std::printf("\nMODELLED weak scaling (SuperCloud substitution, DESIGN.md "
-              "section 3):\n");
+  std::printf("\nMODELLED weak scaling (SuperCloud substitution, see "
+              "cluster/scaling_model.hpp):\n");
   std::printf("servers\tinstances\tmodelled_updates_per_s\n");
   for (std::size_t s : {1u, 4u, 16u, 64u, 256u, 1024u, 1100u})
     std::printf("%zu\t%zu\t%.3g\n", s, model.instances(s),

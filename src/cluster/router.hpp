@@ -12,29 +12,29 @@
 // reads exact: an element probe has exactly one owner, nvals adds, and
 // Σ Ai folds part-major in the canonical order.
 //
-// Concurrency design — deliberately a distributed ShardedHier, not a
-// second epoll engine. A router fronts few, long-lived connections
-// (its fan-IN is the worker pool's job), so it runs one blocking
-// thread per client session and reuses the proven freeze/writer-slot
-// structure verbatim:
+// Concurrency design — one thread. The router is a handler of
+// net::FrameService (net/frame_service.hpp): its single event-loop
+// thread serves every client session, one frame per session per turn,
+// and talks to the workers through blocking net::Client calls on that
+// same thread.
 //
-//   * An insert session splits its batch by part and forwards every
-//     non-empty sub-batch while holding a SHARED slot on `snap_mu_` —
-//     the whole-batch atomicity rule of ShardedHier::update, across
-//     processes. Per-worker order is serialized by that worker's
-//     connection mutex; sub-batches of one client batch can interleave
-//     with another client's across workers, exactly the nondeterminism
-//     ShardedHier writers already have.
+//   * An insert splits its batch by part and forwards every non-empty
+//     sub-batch before the loop dispatches anything else, so no
+//     stitched query can observe half a client batch — the whole-batch
+//     atomicity rule of ShardedHier::update, across processes, by
+//     construction.
 //
-//   * Every query is an epoch-stitched distributed snapshot: take the
-//     EXCLUSIVE slot (writer backoff via freeze_pending_, as in
-//     ShardedHier::freeze), drive a flush barrier through every worker
-//     (PR-2's whole-batch freeze generalized: "admitted" == "applied"
-//     on every worker, and no client batch is half-forwarded), collect
-//     one revision-2 provenance epoch per worker, answer from that cut,
-//     release. The per-worker epoch vector travels back to the client
-//     as the reply's provenance trailer, so a stitched answer is
-//     auditable.
+//   * Every query is an epoch-stitched distributed snapshot: drive a
+//     flush barrier through every worker ("admitted" == "applied" on
+//     every worker), collect one revision-2 provenance epoch per
+//     worker, answer from that cut. The per-worker epoch vector travels
+//     back to the client as the reply's provenance trailer, so a
+//     stitched answer is auditable. A query waits behind at most one
+//     in-flight insert frame of each other session.
+//
+//   * The trade-off of one thread: a worker that hangs stalls EVERY
+//     router session until worker_recv_timeout_ms runs out, not only the
+//     sessions that touch that worker. The worker is then marked dead.
 //
 //   * Partial failure is LOUD. Any worker I/O error (EPIPE after a
 //     SIGKILL, recv timeout on a hang, EOF on a crash) marks that
@@ -52,19 +52,10 @@
 
 #ifdef __linux__
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,22 +64,19 @@
 #include "gbx/thread_annotations.hpp"
 #include "cluster/partition_map.hpp"
 #include "net/client.hpp"
-#include "net/event_loop.hpp"
+#include "net/frame_service.hpp"
 #include "net/protocol.hpp"
 
 namespace cluster {
 
 /// Monotone router counters (relaxed atomics; readable from any thread).
-struct RouterStats {
-  std::atomic<std::uint64_t> sessions_accepted{0};
-  std::atomic<std::uint64_t> sessions_closed{0};
+struct RouterStats : net::FrameStats {
   std::atomic<std::uint64_t> batches_routed{0};     ///< client batches split
   std::atomic<std::uint64_t> subbatches_forwarded{0};
   std::atomic<std::uint64_t> entries_routed{0};
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::uint64_t> stitched_freezes{0};
   std::atomic<std::uint64_t> worker_failures{0};
-  std::atomic<std::uint64_t> rejected_frames{0};
   std::atomic<std::uint64_t> redirects{0};  ///< stale-map placement hints
 };
 
@@ -96,8 +84,6 @@ class Router {
  public:
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-    int backlog = 64;
-    std::uint64_t max_frame_bytes = 64u << 20;
     /// Matrix dimensions (insert validation happens HERE: a bad
     /// coordinate must never reach a worker, where the resulting
     /// kReplyError would poison the router's shared connection).
@@ -106,15 +92,13 @@ class Router {
     /// Worker-side failure detection: a worker that stays silent this
     /// long mid-RPC is declared dead (→ loud errors, never a hang).
     int worker_recv_timeout_ms = 10000;
-    /// Workers may still be binding when the router dials them.
-    int worker_connect_attempts = 50;
-    int worker_connect_backoff_ms = 20;
   };
 
   // No `opt = {}` default argument: GCC parses default arguments before
   // nested-class member initializers (same workaround as IngestServer).
   explicit Router(PartitionMap map) : Router(std::move(map), Options()) {}
-  Router(PartitionMap map, Options opt) : map_(std::move(map)), opt_(opt) {
+  Router(PartitionMap map, Options opt)
+      : service_(*this, stats_), map_(std::move(map)), opt_(opt) {
     GBX_CHECK_VALUE(opt_.nrows > 0 && opt_.ncols > 0,
                     "router needs matrix dimensions for insert validation");
   }
@@ -123,503 +107,101 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   ~Router() {
-    if (running_) stop();
+    if (running()) stop();
   }
 
-  /// Dial every worker, bind, listen, spawn the accept thread.
+  /// Dial every worker, then bind, listen and spawn the loop.
   void start() {
-    GBX_CHECK(!running_, "Router already started");
-    workers_.clear();
-    for (std::size_t w = 0; w < map_.parts(); ++w) {
-      auto wk = std::make_unique<Worker>();
+    GBX_CHECK(!running(), "Router already started");
+    {
+      // The loop thread does not exist yet: this thread holds its role.
+      gbx::ScopedThreadRole role(service_.loop_role);
+      workers_.clear();
       net::Client::Options copt;
       copt.recv_timeout_ms = opt_.worker_recv_timeout_ms;
-      copt.connect_attempts = opt_.worker_connect_attempts;
-      copt.connect_backoff_ms = opt_.worker_connect_backoff_ms;
-      {
-        gbx::ScopedLock lk(wk->mu);
-        wk->cli = net::Client(copt);
-        wk->cli.connect(map_.worker(w).host, map_.worker(w).port);
+      // Workers may still be binding when the router dials them.
+      copt.connect_attempts = kWorkerConnectAttempts;
+      copt.connect_backoff_ms = kWorkerConnectBackoffMs;
+      for (std::size_t w = 0; w < map_.parts(); ++w) {
+        workers_.push_back(Worker{net::Client(copt), false});
+        workers_.back().cli.connect(map_.worker(w).host, map_.worker(w).port);
       }
-      workers_.push_back(std::move(wk));
     }
-
-    listen_ = net::Fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-    GBX_CHECK(listen_.valid(), "router socket() failed");
-    const int one = 1;
-    ::setsockopt(listen_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    ::sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opt_.port);
-    GBX_CHECK(::bind(listen_.get(), reinterpret_cast<::sockaddr*>(&addr),
-                     sizeof addr) == 0,
-              "router bind() failed");
-    GBX_CHECK(::listen(listen_.get(), opt_.backlog) == 0,
-              "router listen() failed");
-    ::socklen_t len = sizeof addr;
-    GBX_CHECK(::getsockname(listen_.get(),
-                            reinterpret_cast<::sockaddr*>(&addr), &len) == 0,
-              "router getsockname() failed");
-    port_ = ntohs(addr.sin_port);
-
-    stop_.store(false, std::memory_order_relaxed);
-    running_ = true;
-    accept_thread_ = std::thread([this] { accept_loop(); });
+    service_.start(opt_.port);
   }
 
-  /// Unblock and join every thread, close every socket. In-flight
-  /// client sessions see EOF; worker connections get an orderly bye.
+  /// Join the loop, close every client socket (in-flight sessions see
+  /// EOF), then say an orderly bye to every live worker.
   void stop() {
-    GBX_CHECK(running_, "Router not started");
-    stop_.store(true, std::memory_order_relaxed);
-    ::shutdown(listen_.get(), SHUT_RDWR);  // accept() returns
-    accept_thread_.join();
-    {
-      gbx::ScopedLock lk(sessions_mu_);
-      for (auto& s : sessions_)
-        ::shutdown(s->fd.get(), SHUT_RDWR);  // blocking recv returns
-    }
-    for (;;) {
-      std::unique_ptr<RouterSession> victim;
-      {
-        gbx::ScopedLock lk(sessions_mu_);
-        if (sessions_.empty()) break;
-        victim = std::move(sessions_.back());
-        sessions_.pop_back();
-      }
-      if (victim->th.joinable()) victim->th.join();
-    }
+    service_.stop();
+    // join() handed the loop thread's role to this thread.
+    gbx::ScopedThreadRole role(service_.loop_role);
     for (auto& wk : workers_) {
-      gbx::ScopedLock lk(wk->mu);
-      if (!wk->dead && wk->cli.connected()) {
+      if (!wk.dead && wk.cli.connected()) {
         try {
-          wk->cli.bye();
+          wk.cli.bye();
         } catch (const gbx::Error&) {
           // Teardown is best-effort; a worker that died first is fine.
         }
       }
-      wk->cli.close();
+      wk.cli.close();
     }
-    listen_.reset();
-    running_ = false;
   }
 
-  std::uint16_t port() const { return port_; }
-  bool running() const { return running_; }
+  std::uint16_t port() const { return service_.port(); }
+  bool running() const { return service_.running(); }
   const RouterStats& stats() const { return stats_; }
   const PartitionMap& map() const { return map_; }
 
  private:
+  static constexpr int kWorkerConnectAttempts = 50;
+  static constexpr int kWorkerConnectBackoffMs = 20;
+
   struct Worker {
-    gbx::Mutex mu;
-    net::Client cli GBX_GUARDED_BY(mu);
-    bool dead GBX_GUARDED_BY(mu) = false;
+    net::Client cli;
+    bool dead = false;
   };
 
-  struct RouterSession {
-    explicit RouterSession(net::Fd f, std::uint64_t cap, std::size_t nworkers)
-        : fd(std::move(f)), dec(cap), used_workers(nworkers, false) {}
-    net::Fd fd;
-    store::RecordFrameDecoder dec;
+  struct Conn {
     std::vector<bool> used_workers;  ///< workers this session ever fed
-    std::thread th;
-    std::atomic<bool> done{false};
   };
+  using Service = net::FrameService<Router, Conn>;
+  using Session = Service::Session;
+  friend Service;
 
-  // --- accept / session lifecycle.
+  // --- FrameService hooks (loop-thread entry points).
 
-  void accept_loop() {
-    while (!stop_.load(std::memory_order_relaxed)) {
-      net::Fd c(::accept4(listen_.get(), nullptr, nullptr, SOCK_CLOEXEC));
-      if (!c.valid()) {
-        if (stop_.load(std::memory_order_relaxed)) return;
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        return;  // listen socket gone
-      }
-      const int one = 1;
-      ::setsockopt(c.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      auto s = std::make_unique<RouterSession>(std::move(c),
-                                               opt_.max_frame_bytes,
-                                               workers_.size());
-      RouterSession* raw = s.get();
-      stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-      {
-        gbx::ScopedLock lk(sessions_mu_);
-        sessions_.push_back(std::move(s));
-        sessions_.back()->th = std::thread([this, raw] {
-          session_loop(*raw);
-          raw->done.store(true, std::memory_order_release);
-        });
-      }
-      reap_finished();
-    }
+  void on_open(Session& s) {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    s.state.used_workers.assign(workers_.size(), false);
   }
 
-  /// Join and drop sessions whose threads have finished (bounds the
-  /// session list on long-lived routers; stop() drains the rest).
-  void reap_finished() {
-    std::vector<std::unique_ptr<RouterSession>> finished;
-    {
-      gbx::ScopedLock lk(sessions_mu_);
-      for (auto it = sessions_.begin(); it != sessions_.end();) {
-        if ((*it)->done.load(std::memory_order_acquire)) {
-          finished.push_back(std::move(*it));
-          it = sessions_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (auto& s : finished) {
-      if (s->th.joinable()) s->th.join();
-      stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-    }
+  net::FrameAction on_frame(Session& s, store::LogRecord& rec) {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    return handle_frame(s, rec);
   }
 
-  void session_loop(RouterSession& s) {
-    char buf[1u << 16];
-    store::LogRecord rec;
-    bool open = true;
-    while (open && !stop_.load(std::memory_order_relaxed)) {
-      const auto n = ::recv(s.fd.get(), buf, sizeof buf, 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (n == 0) {
-        // EOF; a partial frame here is the torn-tail case: count, drop.
-        if (s.dec.buffered() > 0 && !s.dec.corrupt())
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      s.dec.feed(buf, static_cast<std::size_t>(n));
-      for (open = true; open;) {
-        switch (s.dec.next(rec)) {
-          case store::RecordFrameDecoder::Status::kNeedMore:
-            goto drained;
-          case store::RecordFrameDecoder::Status::kCorrupt:
-            stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-            reply_error(s, net::MsgType::kInsert, s.dec.error());
-            open = false;
-            break;
-          case store::RecordFrameDecoder::Status::kFrame:
-            open = handle_frame(s, rec);
-            break;
-        }
-      }
-    drained:;
-    }
-  }
-
-  // --- frame dispatch (session threads).
-
-  /// Returns false when the session must close.
-  bool handle_frame(RouterSession& s, store::LogRecord& rec) {
-    const net::MsgType type = net::tag_type(rec.epoch);
-    const std::uint64_t arg = net::tag_arg(rec.epoch);
-    const bool want_prov = type != net::MsgType::kInsert &&
-                           (arg & net::kWantProvenance) != 0;
-    try {
-      switch (type) {
-        case net::MsgType::kInsert:
-          return handle_insert(s, arg, rec);
-        case net::MsgType::kFlush:
-          handle_client_flush(s);
-          return true;
-        case net::MsgType::kQuerySum:
-          handle_query_sum(s, want_prov);
-          return true;
-        case net::MsgType::kQueryElements:
-          return handle_query_elements(s, want_prov, rec);
-        case net::MsgType::kQuerySummary:
-          handle_query_summary(s, want_prov);
-          return true;
-        case net::MsgType::kQueryRefresh:
-          handle_query_refresh(s, want_prov);
-          return true;
-        case net::MsgType::kQueryColumns:
-          handle_query_columns(s, want_prov);
-          return true;
-        case net::MsgType::kQueryMap: {
-          net::MapReply r;
-          r.version = map_.version();
-          r.parts = map_.parts();
-          r.nrows = opt_.nrows;
-          r.ncols = opt_.ncols;
-          reply_ok(s, type, 0, &r, sizeof r);
-          return true;
-        }
-        case net::MsgType::kBye:
-          reply_ok(s, type, 0, "", 0);
-          return false;
-        default:
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-          reply_error(s, type, "unknown message type");
-          return false;
-      }
-    } catch (const gbx::Error& e) {
-      // A worker failed (or timed out) mid-request: the LOUD path. The
-      // requester gets the diagnostic; the session closes so no later
-      // one-way insert can be silently half-routed.
-      reply_error(s, type, e.what());
-      return false;
-    }
-  }
-
-  bool handle_insert(RouterSession& s, std::uint64_t arg,
-                     store::LogRecord& rec) {
-    std::vector<gbx::Entry<double>> entries;
-    if (!net::payload_as(rec.payload, entries)) {
-      stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      reply_error(s, net::MsgType::kInsert,
-                  "insert payload is not a whole number of entries");
-      return false;
-    }
-    for (const auto& e : entries) {
-      if (e.row >= opt_.nrows || e.col >= opt_.ncols) {
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, net::MsgType::kInsert,
-                    "insert coordinate out of range: (" +
-                        std::to_string(e.row) + ", " + std::to_string(e.col) +
-                        ") vs " + std::to_string(opt_.nrows) + " x " +
-                        std::to_string(opt_.ncols));
-        return false;
-      }
-    }
-    // An explicit placement hint is the client asserting its partition
-    // map: every row must land on that worker under the CURRENT map,
-    // otherwise the map changed under the client — redirect.
-    if (arg != net::kAnyLane) {
-      bool stale = arg >= map_.parts();
-      for (const auto& e : entries)
-        if (stale || map_.part_of(e.row) != arg) {
-          stale = true;
-          break;
-        }
-      if (stale) {
-        stats_.redirects.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, net::MsgType::kInsert,
-                    "stale partition map: placement hint " +
-                        std::to_string(arg) + " does not own this batch "
-                        "(current map version " +
-                        std::to_string(map_.version()) +
-                        "); re-fetch kQueryMap and reconnect");
-        return false;
-      }
-    }
-
-    // Split part-major — the same per-entry walk as ShardedHier::update,
-    // preserving within-batch order inside every sub-batch.
-    std::vector<gbx::Tuples<double>> parts(workers_.size());
-    for (const auto& e : entries)
-      parts[map_.part_of(e.row)].push_back(e.row, e.col, e.val);
-
-    // Whole-batch atomicity across processes: hold a shared slot for
-    // the full fan-out so no stitched freeze can observe half a batch.
-    gbx::ScopedReadLock batch_guard(writer_slot());
-    for (std::size_t w = 0; w < parts.size(); ++w) {
-      if (parts[w].empty()) continue;
-      worker_insert(w, parts[w]);  // throws on a dead worker → loud close
-      s.used_workers[w] = true;
-      stats_.subbatches_forwarded.fetch_add(1, std::memory_order_relaxed);
-    }
-    stats_.batches_routed.fetch_add(1, std::memory_order_relaxed);
-    stats_.entries_routed.fetch_add(entries.size(),
-                                    std::memory_order_relaxed);
-    return true;
-  }
-
-  void handle_client_flush(RouterSession& s) {
-    // Barrier over every worker this session ever fed: each worker's
-    // own flush barrier covers the router's upstream session, which
-    // includes everything forwarded on behalf of this client.
-    for (std::size_t w = 0; w < s.used_workers.size(); ++w)
-      if (s.used_workers[w]) worker_flush(w);
-    reply_ok(s, net::MsgType::kFlush, 0, "", 0);
-  }
-
-  void handle_query_sum(RouterSession& s, bool want_prov) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
-    net::SumReply r;
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    with_stitch([&] {
-      // Part-major fold in map order — the canonical SnapshotSet order,
-      // so the stitched Σ is bit-identical to ShardedHier's reduce().
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::ReplyProvenance wp;
-        net::SumReply wr = worker_call(
-            w, [&wp](net::Client& c) { return c.query_sum(&wp); });
-        r.sum += wr.sum;
-        r.nvals += wr.nvals;  // row-disjoint workers: distinct counts add
-        epochs[w] = wp.snapshot_epoch;
-        r.epoch += wp.snapshot_epoch;  // Σ of part epochs, SnapshotSet's rule
-      }
-    });
-    reply_stitched(s, net::MsgType::kQuerySum, want_prov, &r, sizeof r,
-                   epochs, r.epoch);
-  }
-
-  bool handle_query_elements(RouterSession& s, bool want_prov,
-                             store::LogRecord& rec) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
-    std::vector<net::ElementQuery> qs;
-    if (!net::payload_as(rec.payload, qs)) {
-      stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      reply_error(s, net::MsgType::kQueryElements,
-                  "element query payload is not a whole number of "
-                  "{row, col} probes");
-      return false;
-    }
-    for (const auto& q : qs) {
-      if (q.row >= opt_.nrows || q.col >= opt_.ncols) {
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, net::MsgType::kQueryElements,
-                    "element probe out of range");
-        return false;
-      }
-    }
-    // Route each probe to its single owner (row-disjoint placement),
-    // keeping reply order = probe order.
-    std::vector<std::vector<net::ElementQuery>> per(workers_.size());
-    std::vector<std::vector<std::size_t>> origin(workers_.size());
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      const std::size_t w = map_.part_of(qs[i].row);
-      per[w].push_back(qs[i]);
-      origin[w].push_back(i);
-    }
-    std::vector<net::ElementReply> rs(qs.size());
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    std::uint64_t cut_epoch = 0;
-    with_stitch([&] {
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::ReplyProvenance wp;
-        // Unprobed workers still contribute their epoch to the stitched
-        // cut via an empty probe batch (a pin, no reads).
-        auto wr = worker_call(w, [&](net::Client& c) {
-          return c.query_elements(per[w], &wp);
-        });
-        for (std::size_t k = 0; k < wr.size(); ++k) rs[origin[w][k]] = wr[k];
-        epochs[w] = wp.snapshot_epoch;
-        cut_epoch += wp.snapshot_epoch;
-      }
-    });
-    reply_stitched(s, net::MsgType::kQueryElements, want_prov, rs.data(),
-                   rs.size() * sizeof(net::ElementReply), epochs, cut_epoch);
-    return true;
-  }
-
-  void handle_query_summary(RouterSession& s, bool want_prov) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
-    net::SummaryReply r;
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    std::set<std::uint64_t> destinations;  // columns are NOT disjoint
-    with_stitch([&] {
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::ReplyProvenance wp;
-        net::SummaryReply wr = worker_call(
-            w, [&wp](net::Client& c) { return c.query_summary(&wp); });
-        // Row-disjoint stitches: links (distinct coords), sources
-        // (distinct rows) and packets add; max_link is a per-coordinate
-        // value, so max over workers is the global max.
-        r.links += wr.links;
-        r.packets += wr.packets;
-        r.sources += wr.sources;
-        if (wr.max_link > r.max_link) r.max_link = wr.max_link;
-        // Destinations (distinct columns) need the actual sets.
-        const auto cols = worker_call(
-            w, [](net::Client& c) { return c.query_columns(); });
-        destinations.insert(cols.begin(), cols.end());
-        epochs[w] = wp.snapshot_epoch;
-        r.epoch += wp.snapshot_epoch;
-      }
-    });
-    r.destinations = destinations.size();
-    // Same formula as analytics::summarize — identical operands give an
-    // identical quotient.
-    if (r.links > 0) r.mean_link = r.packets / static_cast<double>(r.links);
-    reply_stitched(s, net::MsgType::kQuerySummary, want_prov, &r, sizeof r,
-                   epochs, r.epoch);
-  }
-
-  void handle_query_refresh(RouterSession& s, bool want_prov) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
-    net::RefreshReply r;
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    with_stitch([&] {
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::RefreshReply wr = worker_call(
-            w, [](net::Client& c) { return c.query_refresh(); });
-        r.epoch += wr.epoch;
-        r.full_recompute |= wr.full_recompute;
-        r.added += wr.added;
-        r.changed += wr.changed;
-        // Caveat, documented in the README: per-worker triangle counts
-        // only stitch when triangles are disabled (the worker default,
-        // where every count is 0) — a triangle can span workers, so a
-        // nonzero sum would undercount and we refuse to fake it.
-        r.triangles += wr.triangles;
-        r.sum += wr.sum;
-        epochs[w] = wr.epoch;
-      }
-    });
-    reply_stitched(s, net::MsgType::kQueryRefresh, want_prov, &r, sizeof r,
-                   epochs, r.epoch);
-  }
-
-  void handle_query_columns(RouterSession& s, bool want_prov) {
-    stats_.queries.fetch_add(1, std::memory_order_relaxed);
-    std::set<std::uint64_t> cols;
-    std::vector<std::uint64_t> epochs(workers_.size(), 0);
-    std::uint64_t cut_epoch = 0;
-    with_stitch([&] {
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        net::ReplyProvenance wp;
-        const auto wc = worker_call(
-            w, [&wp](net::Client& c) { return c.query_columns(&wp); });
-        cols.insert(wc.begin(), wc.end());
-        epochs[w] = wp.snapshot_epoch;
-        cut_epoch += wp.snapshot_epoch;
-      }
-    });
-    std::vector<std::uint64_t> sorted(cols.begin(), cols.end());
-    reply_stitched(s, net::MsgType::kQueryColumns, want_prov, sorted.data(),
-                   sorted.size() * sizeof(std::uint64_t), epochs, cut_epoch);
-  }
+  void on_turn_end(Session&) {}
+  int on_pass() { return -1; }  // nothing periodic: wait for I/O
 
   // --- the stitched freeze.
 
-  /// Run `f` inside a stitched cut: exclusive slot on `snap_mu_` (so no
-  /// insert fan-out is in flight — whole-batch atomicity across
-  /// processes) plus a flush barrier through every worker ("admitted"
-  /// becomes "applied" everywhere before any epoch is read). A dead
-  /// worker throws during the barrier — the whole query fails loudly
-  /// instead of stitching a subset.
-  template <class F>
-  void with_stitch(F&& f) {
+  /// Open a stitched cut: a flush barrier through every worker, so
+  /// "admitted" becomes "applied" everywhere before any epoch is read.
+  /// No insert fan-out can be in flight — the loop thread is here. A
+  /// dead worker throws during the barrier: the whole query fails
+  /// loudly instead of stitching a subset.
+  void stitch() GBX_REQUIRES(service_.loop_role) {
     stats_.stitched_freezes.fetch_add(1, std::memory_order_relaxed);
-    freeze_pending_.fetch_add(1, std::memory_order_relaxed);
-    gbx::ScopedWriteLock cut(snap_mu_);
-    freeze_pending_.fetch_sub(1, std::memory_order_relaxed);
     for (std::size_t w = 0; w < workers_.size(); ++w) worker_flush(w);
-    f();
   }
 
-  /// Writers pass through here before taking their shared slot — the
-  /// ShardedHier starvation-avoidance pattern, verbatim.
-  gbx::SharedMutex& writer_slot() GBX_RETURN_CAPABILITY(snap_mu_) {
-    while (freeze_pending_.load(std::memory_order_relaxed) > 0)
-      std::this_thread::yield();
-    return snap_mu_;
-  }
-
-  // --- worker I/O (each call-response pair under that worker's mutex).
+  // --- worker I/O (blocking, on the loop thread).
 
   template <class F>
-  auto worker_call(std::size_t w, F&& f) -> decltype(f(
-      std::declval<net::Client&>())) {
-    Worker& wk = *workers_[w];
-    gbx::ScopedLock lk(wk.mu);
+  decltype(auto) worker_call(std::size_t w, F&& f)
+      GBX_REQUIRES(service_.loop_role) {
+    Worker& wk = workers_[w];
     GBX_CHECK(!wk.dead, "worker " + std::to_string(w) + " (" +
                             map_.worker(w).host + ":" +
                             std::to_string(map_.worker(w).port) +
@@ -634,7 +216,8 @@ class Router {
     }
   }
 
-  void worker_insert(std::size_t w, const gbx::Tuples<double>& sub) {
+  void worker_insert(std::size_t w, const gbx::Tuples<double>& sub)
+      GBX_REQUIRES(service_.loop_role) {
     // Lane 0 on every worker: a cluster worker scales by process count,
     // and one lane per worker is what keeps its part bit-identical to
     // the corresponding ShardedHier shard (sub-batches apply in
@@ -645,79 +228,280 @@ class Router {
     });
   }
 
-  void worker_flush(std::size_t w) {
+  void worker_flush(std::size_t w) GBX_REQUIRES(service_.loop_role) {
     worker_call(w, [](net::Client& c) {
       c.flush();
       return 0;
     });
   }
 
-  // --- client-side replies (blocking send on the session socket).
+  // --- frame dispatch. A gbx::Error from a worker call (the LOUD path)
+  // reaches the service, which replies the diagnostic and closes the
+  // session so no later one-way insert can be silently half-routed.
 
-  void reply_ok(RouterSession& s, net::MsgType request, std::uint64_t flag,
-                const void* payload, std::size_t size) {
-    std::string frame;
-    net::append_frame(frame, net::MsgType::kReplyOk,
-                      static_cast<std::uint64_t>(request) | flag, payload,
-                      size);
-    send_all(s, frame);
+  net::FrameAction handle_frame(Session& s, store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
+    const net::MsgType type = net::tag_type(rec.epoch);
+    const std::uint64_t arg = net::tag_arg(rec.epoch);
+    const bool want_prov = type != net::MsgType::kInsert &&
+                           (arg & net::kWantProvenance) != 0;
+    switch (type) {
+      case net::MsgType::kInsert:
+        return handle_insert(s, arg, rec);
+      case net::MsgType::kFlush:
+        // Barrier over every worker this session ever fed: each worker's
+        // own flush barrier covers the router's upstream session, which
+        // includes everything forwarded on behalf of this client.
+        for (std::size_t w = 0; w < s.state.used_workers.size(); ++w)
+          if (s.state.used_workers[w]) worker_flush(w);
+        service_.reply(s, type, "", 0);
+        return net::FrameAction::kContinue;
+      case net::MsgType::kQuerySum:
+        handle_query_sum(s, want_prov);
+        return net::FrameAction::kContinue;
+      case net::MsgType::kQueryElements:
+        return handle_query_elements(s, want_prov, rec);
+      case net::MsgType::kQuerySummary:
+        handle_query_summary(s, want_prov);
+        return net::FrameAction::kContinue;
+      case net::MsgType::kQueryRefresh:
+        handle_query_refresh(s, want_prov);
+        return net::FrameAction::kContinue;
+      case net::MsgType::kQueryColumns:
+        handle_query_columns(s, want_prov);
+        return net::FrameAction::kContinue;
+      case net::MsgType::kQueryMap: {
+        net::MapReply r;
+        r.version = map_.version();
+        r.parts = map_.parts();
+        r.nrows = opt_.nrows;
+        r.ncols = opt_.ncols;
+        service_.reply(s, type, &r, sizeof r);
+        return net::FrameAction::kContinue;
+      }
+      case net::MsgType::kBye:
+        service_.reply(s, type, "", 0);
+        return net::FrameAction::kClose;
+      default:
+        return service_.reject(s, type, "unknown message type");
+    }
   }
 
-  void reply_stitched(RouterSession& s, net::MsgType request, bool want_prov,
+  net::FrameAction handle_insert(Session& s, std::uint64_t arg,
+                                 store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
+    gbx::Tuples<double> batch;
+    const std::string bad =
+        net::decode_insert(rec.payload.data(), rec.payload.size(),
+                           opt_.nrows, opt_.ncols, batch);
+    if (!bad.empty()) return service_.reject(s, net::MsgType::kInsert, bad);
+    const auto& entries = batch.entries();
+    // An explicit placement hint is the client asserting its partition
+    // map: every row must land on that worker under the CURRENT map,
+    // otherwise the map changed under the client — redirect.
+    if (arg != net::kAnyLane) {
+      bool stale = arg >= map_.parts();
+      for (const auto& e : entries)
+        if (stale || map_.part_of(e.row) != arg) {
+          stale = true;
+          break;
+        }
+      if (stale) {
+        stats_.redirects.fetch_add(1, std::memory_order_relaxed);
+        service_.reply_error(s, net::MsgType::kInsert,
+                             "stale partition map: placement hint " +
+                                 std::to_string(arg) +
+                                 " does not own this batch (current map "
+                                 "version " +
+                                 std::to_string(map_.version()) +
+                                 "); re-fetch kQueryMap and reconnect");
+        return net::FrameAction::kClose;
+      }
+    }
+
+    // Split part-major — the same per-entry walk as ShardedHier::update,
+    // preserving within-batch order inside every sub-batch.
+    std::vector<gbx::Tuples<double>> parts(workers_.size());
+    for (auto& p : parts) p.reserve(entries.size() / parts.size() * 9 / 8);
+    for (const auto& e : entries)
+      parts[map_.part_of(e.row)].push_back(e.row, e.col, e.val);
+
+    // Whole-batch atomicity across processes: the loop forwards every
+    // sub-batch before it dispatches any other frame.
+    for (std::size_t w = 0; w < parts.size(); ++w) {
+      if (parts[w].empty()) continue;
+      worker_insert(w, parts[w]);  // throws on a dead worker → loud close
+      s.state.used_workers[w] = true;
+      stats_.subbatches_forwarded.fetch_add(1, std::memory_order_relaxed);
+    }
+    stats_.batches_routed.fetch_add(1, std::memory_order_relaxed);
+    stats_.entries_routed.fetch_add(entries.size(),
+                                    std::memory_order_relaxed);
+    return net::FrameAction::kContinue;
+  }
+
+  void handle_query_sum(Session& s, bool want_prov)
+      GBX_REQUIRES(service_.loop_role) {
+    stats_.queries.fetch_add(1, std::memory_order_relaxed);
+    net::SumReply r;
+    std::vector<std::uint64_t> epochs(workers_.size(), 0);
+    stitch();
+    // Part-major fold in map order — the canonical SnapshotSet order,
+    // so the stitched Σ is bit-identical to ShardedHier's reduce().
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      net::ReplyProvenance wp;
+      net::SumReply wr = worker_call(
+          w, [&wp](net::Client& c) { return c.query_sum(&wp); });
+      r.sum += wr.sum;
+      r.nvals += wr.nvals;  // row-disjoint workers: distinct counts add
+      epochs[w] = wp.snapshot_epoch;
+      r.epoch += wp.snapshot_epoch;  // Σ of part epochs, SnapshotSet's rule
+    }
+    reply_stitched(s, net::MsgType::kQuerySum, want_prov, &r, sizeof r,
+                   std::move(epochs), r.epoch);
+  }
+
+  net::FrameAction handle_query_elements(Session& s, bool want_prov,
+                                         store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
+    stats_.queries.fetch_add(1, std::memory_order_relaxed);
+    std::vector<net::ElementQuery> qs;
+    if (!net::payload_as(rec.payload, qs))
+      return service_.reject(s, net::MsgType::kQueryElements,
+                             "element query payload is not a whole number "
+                             "of {row, col} probes");
+    for (const auto& q : qs)
+      if (q.row >= opt_.nrows || q.col >= opt_.ncols)
+        return service_.reject(s, net::MsgType::kQueryElements,
+                               "element probe out of range");
+    // Route each probe to its single owner (row-disjoint placement),
+    // keeping reply order = probe order.
+    std::vector<std::vector<net::ElementQuery>> per(workers_.size());
+    std::vector<std::vector<std::size_t>> origin(workers_.size());
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const std::size_t w = map_.part_of(qs[i].row);
+      per[w].push_back(qs[i]);
+      origin[w].push_back(i);
+    }
+    std::vector<net::ElementReply> rs(qs.size());
+    std::vector<std::uint64_t> epochs(workers_.size(), 0);
+    std::uint64_t cut_epoch = 0;
+    stitch();
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      net::ReplyProvenance wp;
+      // Unprobed workers still contribute their epoch to the stitched
+      // cut via an empty probe batch (a pin, no reads).
+      auto wr = worker_call(w, [&](net::Client& c) {
+        return c.query_elements(per[w], &wp);
+      });
+      for (std::size_t k = 0; k < wr.size(); ++k) rs[origin[w][k]] = wr[k];
+      epochs[w] = wp.snapshot_epoch;
+      cut_epoch += wp.snapshot_epoch;
+    }
+    reply_stitched(s, net::MsgType::kQueryElements, want_prov, rs.data(),
+                   rs.size() * sizeof(net::ElementReply), std::move(epochs),
+                   cut_epoch);
+    return net::FrameAction::kContinue;
+  }
+
+  void handle_query_summary(Session& s, bool want_prov)
+      GBX_REQUIRES(service_.loop_role) {
+    stats_.queries.fetch_add(1, std::memory_order_relaxed);
+    net::SummaryReply r;
+    std::vector<std::uint64_t> epochs(workers_.size(), 0);
+    std::set<std::uint64_t> destinations;  // columns are NOT disjoint
+    stitch();
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      net::ReplyProvenance wp;
+      net::SummaryReply wr = worker_call(
+          w, [&wp](net::Client& c) { return c.query_summary(&wp); });
+      // Row-disjoint stitches: links (distinct coords), sources
+      // (distinct rows) and packets add; max_link is a per-coordinate
+      // value, so max over workers is the global max.
+      r.links += wr.links;
+      r.packets += wr.packets;
+      r.sources += wr.sources;
+      if (wr.max_link > r.max_link) r.max_link = wr.max_link;
+      // Destinations (distinct columns) need the actual sets.
+      const auto cols =
+          worker_call(w, [](net::Client& c) { return c.query_columns(); });
+      destinations.insert(cols.begin(), cols.end());
+      epochs[w] = wp.snapshot_epoch;
+      r.epoch += wp.snapshot_epoch;
+    }
+    r.destinations = destinations.size();
+    // Same formula as analytics::summarize — identical operands give an
+    // identical quotient.
+    if (r.links > 0) r.mean_link = r.packets / static_cast<double>(r.links);
+    reply_stitched(s, net::MsgType::kQuerySummary, want_prov, &r, sizeof r,
+                   std::move(epochs), r.epoch);
+  }
+
+  void handle_query_refresh(Session& s, bool want_prov)
+      GBX_REQUIRES(service_.loop_role) {
+    stats_.queries.fetch_add(1, std::memory_order_relaxed);
+    net::RefreshReply r;
+    std::vector<std::uint64_t> epochs(workers_.size(), 0);
+    stitch();
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      net::RefreshReply wr =
+          worker_call(w, [](net::Client& c) { return c.query_refresh(); });
+      r.epoch += wr.epoch;
+      r.full_recompute |= wr.full_recompute;
+      r.added += wr.added;
+      r.changed += wr.changed;
+      // Caveat, documented in the README: per-worker triangle counts
+      // only stitch when triangles are disabled (the worker default,
+      // where every count is 0) — a triangle can span workers, so a
+      // nonzero sum would undercount and we refuse to fake it.
+      r.triangles += wr.triangles;
+      r.sum += wr.sum;
+      epochs[w] = wr.epoch;
+    }
+    reply_stitched(s, net::MsgType::kQueryRefresh, want_prov, &r, sizeof r,
+                   std::move(epochs), r.epoch);
+  }
+
+  void handle_query_columns(Session& s, bool want_prov)
+      GBX_REQUIRES(service_.loop_role) {
+    stats_.queries.fetch_add(1, std::memory_order_relaxed);
+    std::set<std::uint64_t> cols;
+    std::vector<std::uint64_t> epochs(workers_.size(), 0);
+    std::uint64_t cut_epoch = 0;
+    stitch();
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      net::ReplyProvenance wp;
+      const auto wc = worker_call(
+          w, [&wp](net::Client& c) { return c.query_columns(&wp); });
+      cols.insert(wc.begin(), wc.end());
+      epochs[w] = wp.snapshot_epoch;
+      cut_epoch += wp.snapshot_epoch;
+    }
+    std::vector<std::uint64_t> sorted(cols.begin(), cols.end());
+    reply_stitched(s, net::MsgType::kQueryColumns, want_prov, sorted.data(),
+                   sorted.size() * sizeof(std::uint64_t), std::move(epochs),
+                   cut_epoch);
+  }
+
+  // --- client-side replies.
+
+  void reply_stitched(Session& s, net::MsgType request, bool want_prov,
                       const void* payload, std::size_t size,
-                      const std::vector<std::uint64_t>& epochs,
-                      std::uint64_t cut_epoch) {
-    if (!want_prov) {
-      reply_ok(s, request, 0, payload, size);
-      return;
-    }
-    std::string body(size > 0 ? static_cast<const char*>(payload) : "", size);
-    net::append_provenance(body, epochs, cut_epoch,
-                           static_cast<std::uint32_t>(map_.version()));
-    reply_ok(s, request, net::kWantProvenance, body.data(), body.size());
+                      std::vector<std::uint64_t> epochs,
+                      std::uint64_t cut_epoch)
+      GBX_REQUIRES(service_.loop_role) {
+    net::ReplyProvenance prov;
+    prov.part_epochs = std::move(epochs);
+    prov.snapshot_epoch = cut_epoch;
+    prov.map_version = static_cast<std::uint32_t>(map_.version());
+    service_.reply(s, request, payload, size, want_prov ? &prov : nullptr);
   }
 
-  void reply_error(RouterSession& s, net::MsgType request,
-                   const std::string& what) {
-    std::string frame;
-    net::append_frame(frame, net::MsgType::kReplyError,
-                      static_cast<std::uint64_t>(request), what.data(),
-                      what.size());
-    send_all(s, frame);
-  }
-
-  void send_all(RouterSession& s, const std::string& bytes) {
-    const char* p = bytes.data();
-    std::size_t n = bytes.size();
-    while (n > 0) {
-      const auto w = ::send(s.fd.get(), p, n, MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) return;  // client gone; session loop exits on recv
-      p += w;
-      n -= static_cast<std::size_t>(w);
-    }
-  }
-
+  RouterStats stats_;
+  Service service_;
   PartitionMap map_;
   Options opt_;
-  RouterStats stats_;
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-
-  // Writers (insert fan-out) shared, stitched queries exclusive: the
-  // ShardedHier freeze discipline, spanning processes.
-  gbx::SharedMutex snap_mu_;
-  std::atomic<std::uint32_t> freeze_pending_{0};
-
-  gbx::Mutex sessions_mu_;
-  std::vector<std::unique_ptr<RouterSession>> sessions_
-      GBX_GUARDED_BY(sessions_mu_);
-
-  net::Fd listen_;
-  std::thread accept_thread_;
-  std::atomic<bool> stop_{false};
-  bool running_ = false;
-  std::uint16_t port_ = 0;
+  std::vector<Worker> workers_ GBX_GUARDED_BY(service_.loop_role);
 };
 
 }  // namespace cluster

@@ -1,6 +1,6 @@
 // cluster/scaling_model.hpp — MIT SuperCloud weak-scaling extrapolation.
 //
-// SUBSTITUTION (documented in DESIGN.md §3): we do not have 1,100 servers.
+// SUBSTITUTION (documented here): we do not have 1,100 servers.
 // The paper's scaling experiment is embarrassingly parallel — instances
 // never communicate — so aggregate rate is
 //

@@ -78,7 +78,7 @@ class Client : public QueryInterface {
                     sizeof addr) == 0) {
         const int one = 1;
         ::setsockopt(fd_.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        dec_ = store::RecordFrameDecoder(kDecoderCap);  // fresh session
+        dec_ = store::RecordFrameDecoder(kMaxFrameBytes);  // fresh session
         return;
       }
       fd_.reset();
@@ -202,8 +202,6 @@ class Client : public QueryInterface {
   store::LogRecord read_reply() { return next_frame(); }
 
  private:
-  static constexpr std::size_t kDecoderCap = 64u << 20;
-
   void send_all(const void* data, std::size_t n) {
     GBX_CHECK(fd_.valid(), "client not connected");
     const char* p = static_cast<const char*>(data);
@@ -306,7 +304,7 @@ class Client : public QueryInterface {
 
   Options opt_{};
   Fd fd_;
-  store::RecordFrameDecoder dec_{kDecoderCap};
+  store::RecordFrameDecoder dec_{kMaxFrameBytes};
 };
 
 }  // namespace net

@@ -1,9 +1,9 @@
 // net/event_loop.hpp — minimal epoll + eventfd wrappers (Linux only).
 //
-// Thin RAII shims over the three kernel objects the ingest server
+// Thin RAII shims over the three kernel objects net::FrameService
 // needs: an epoll instance, an eventfd wake channel (so stop() can
 // interrupt a blocked epoll_wait from another thread), and owned file
-// descriptors. No callback registry, no timer wheel — the server's
+// descriptors. No callback registry, no timer wheel — the service's
 // event loop is a plain readable function, and these classes only keep
 // the fd bookkeeping honest.
 #pragma once

@@ -11,5 +11,6 @@
 #ifdef __linux__
 #include "net/client.hpp"
 #include "net/event_loop.hpp"
+#include "net/frame_service.hpp"
 #include "net/server.hpp"
 #endif

@@ -28,6 +28,7 @@
 //   * kBye asks for an orderly close; the server replies and closes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -35,7 +36,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "gbx/sort.hpp"
+#include "gbx/coo.hpp"
 #include "store/wal.hpp"
 
 namespace net {
@@ -65,6 +66,10 @@ enum class MsgType : std::uint16_t {
 
 /// Lane-hint sentinel: let the server pick (the session's home lane).
 inline constexpr std::uint64_t kAnyLane = (std::uint64_t{1} << 48) - 1;
+
+/// Frame payload cap of every decoder, server and client side: a larger
+/// frame is rejected as corrupt instead of buffered toward.
+inline constexpr std::uint64_t kMaxFrameBytes = 64u << 20;
 
 // --- protocol revision 2: versioned reply provenance.
 //
@@ -221,6 +226,30 @@ bool payload_as(const std::vector<std::byte>& payload, Pod& out) {
   if (payload.size() != sizeof(Pod)) return false;
   std::memcpy(&out, payload.data(), sizeof(Pod));
   return true;
+}
+
+/// Decode an insert payload (a raw gbx::Entry<double> array of `size`
+/// bytes) into `batch`, checking every coordinate against the matrix
+/// dimensions. Returns the empty string on success, else the diagnostic
+/// for the caller's error reply — a bad coordinate must be a rejected
+/// frame, never an exception inside a lane worker.
+inline std::string decode_insert(const std::byte* data, std::size_t size,
+                                 gbx::Index nrows, gbx::Index ncols,
+                                 gbx::Tuples<double>& batch) {
+  using E = gbx::Entry<double>;
+  static_assert(std::is_trivially_copyable_v<E>);
+  if (size % sizeof(E) != 0)
+    return "insert payload is not a whole number of entries";
+  auto& es = batch.entries();
+  es.resize(size / sizeof(E));
+  if (size > 0) std::memcpy(es.data(), data, size);
+  const auto bad = std::find_if(es.begin(), es.end(), [&](const E& e) {
+    return e.row >= nrows || e.col >= ncols;
+  });
+  if (bad == es.end()) return {};
+  return "insert coordinate out of range: (" + std::to_string(bad->row) +
+         ", " + std::to_string(bad->col) + ") vs " + std::to_string(nrows) +
+         " x " + std::to_string(ncols);
 }
 
 /// Append a provenance trailer (epoch vector + tail) to reply payload

@@ -1,32 +1,22 @@
-// net/server.hpp — epoll streaming ingest/query server (Linux only).
+// net/server.hpp — streaming ingest/query server (Linux only).
 //
 // Puts the streaming engine behind a socket: clients stream kInsert
 // frames (net/protocol.hpp) into hier::ParallelStream lanes and issue
 // query RPCs answered from hier::MemoryGovernor snapshot epochs —
 // ingest never pauses for analysis, the paper's operating point.
 //
-// Architecture — one event-loop thread, nonblocking everything:
+// Sessions, framing, reply buffering and the corrupt-frame rules are
+// net::FrameService's (net/frame_service.hpp); this is its handler:
 //
-//   * Accepted connections become Sessions. Each session owns a
-//     store::RecordFrameDecoder (the WAL frame machinery is the wire
-//     codec), an outbound byte buffer, and a home lane assigned
-//     round-robin at accept; kInsert frames may override the lane per
-//     batch (the low 48 tag bits).
+//   * Each session gets a home lane round-robin at accept; kInsert
+//     frames may override the lane per batch (the low 48 tag bits).
 //
 //   * Back-pressure maps lane queues onto socket reads. Inserts go
 //     through ParallelStream::try_submit — never the blocking submit().
-//     When a session's target lane is full, the batch is PARKED, the
-//     session's EPOLLIN interest is dropped, and the event loop simply
-//     stops reading that connection: the kernel socket buffer fills,
-//     TCP flow control pushes back to that client's send(), and every
-//     other session keeps streaming. The park is retried each loop
-//     pass; on success the decoder backlog resumes and EPOLLIN returns.
-//
-//   * Back-pressure also covers the reply direction: a session whose
-//     outbound buffer exceeds max_outbound_bytes (a client pipelining
-//     queries without reading replies) likewise loses EPOLLIN until the
-//     backlog drains below half the cap — the server's memory stays
-//     bounded per session in both directions.
+//     When a session's target lane is full, the batch is PARKED and the
+//     session paused: the service stops reading that connection, TCP
+//     flow control pushes back to that client's send(), and every other
+//     session keeps streaming. The park is retried each loop pass.
 //
 //   * kFlush is the session barrier: acknowledged only when the session
 //     has nothing parked and every lane it ever touched is idle
@@ -43,34 +33,17 @@
 //     analytics engine (single-analyst discipline holds: only the event
 //     loop calls refresh()).
 //
-//   * Malformed bytes (bad magic, checksum mismatch, oversized or
-//     non-integral payloads, insert coordinates outside the matrix
-//     dimensions) earn one kReplyError frame with a diagnostic, then an
-//     orderly close — never an exception into the engine. A torn frame
-//     at peer EOF is counted and dropped — exactly the WAL torn-tail
-//     rule.
+//   * Malformed inserts (non-integral payloads, coordinates outside the
+//     matrix dimensions, a lane out of range) earn one kReplyError, then
+//     a close — never an exception into the engine.
 //
-// stop() wakes the loop via eventfd, joins the thread, and closes all
-// sockets; in-flight sessions see EOF. The stream/governor are the
-// caller's — the server never starts or stops them.
+// The stream/governor are the caller's; the server never starts them.
 #pragma once
 
 #ifdef __linux__
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -78,25 +51,20 @@
 #include "gbx/coo.hpp"
 #include "gbx/reduce.hpp"
 #include "gbx/thread_annotations.hpp"
-#include "gbx/error.hpp"
 #include "hier/memory_governor.hpp"
 #include "hier/parallel_stream.hpp"
 #include "hier/snapshot_source.hpp"
-#include "net/event_loop.hpp"
+#include "net/frame_service.hpp"
 #include "net/protocol.hpp"
 
 namespace net {
 
 /// Monotone server counters (relaxed atomics; readable from any thread).
-struct ServerStats {
-  std::atomic<std::uint64_t> sessions_accepted{0};
-  std::atomic<std::uint64_t> sessions_closed{0};
+struct ServerStats : FrameStats {
   std::atomic<std::uint64_t> insert_frames{0};
   std::atomic<std::uint64_t> entries_ingested{0};
   std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> parks{0};           ///< lane-full back-pressure events
-  std::atomic<std::uint64_t> out_throttles{0};   ///< reply-backlog back-pressure events
-  std::atomic<std::uint64_t> rejected_frames{0}; ///< corrupt/malformed/torn
+  std::atomic<std::uint64_t> parks{0};  ///< lane-full back-pressure events
 };
 
 /// Observer of every insert batch the server accepts, in acceptance
@@ -125,14 +93,11 @@ class IngestServer {
 
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-    int backlog = 64;
-    /// Decoder cap: larger insert/query frames are rejected as corrupt.
-    std::uint64_t max_frame_bytes = 64u << 20;
     /// Reply-backlog cap: once a session's unsent outbound bytes exceed
     /// this, the server stops reading that connection until the backlog
     /// drains below half the cap (see out_throttles). Bounds the memory
     /// a client can pin by pipelining queries without reading replies.
-    std::size_t max_outbound_bytes = 4u << 20;
+    std::size_t max_outbound_bytes = kMaxOutboundBytes;
     /// Analytics knobs for the refresh/summary RPCs. Triangle counting
     /// and PageRank are opt-in: they are superlinear in the snapshot
     /// and would stall the event loop on big graphs.
@@ -157,7 +122,8 @@ class IngestServer {
       : IngestServer(stream, governor, Options()) {}
 
   IngestServer(Stream& stream, Governor& governor, Options opt)
-      : stream_(&stream),
+      : service_(*this, stats_, opt.max_outbound_bytes),
+        stream_(&stream),
         governor_(&governor),
         opt_(opt),
         analytics_(governor, opt.analytics),
@@ -168,206 +134,88 @@ class IngestServer {
   IngestServer& operator=(const IngestServer&) = delete;
 
   ~IngestServer() {
-    if (running_) stop();
+    if (running()) stop();
   }
 
   /// Bind, listen, and spawn the event-loop thread. The stream must
   /// already be start()ed (inserts would otherwise bounce as kStopped).
-  void start() {
-    GBX_CHECK(!running_, "IngestServer already started");
-    listen_ = Fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                          0));
-    GBX_CHECK(listen_.valid(), "socket() failed");
-    const int one = 1;
-    ::setsockopt(listen_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    ::sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opt_.port);
-    GBX_CHECK(::bind(listen_.get(), reinterpret_cast<::sockaddr*>(&addr),
-                     sizeof addr) == 0,
-              "bind() failed");
-    GBX_CHECK(::listen(listen_.get(), opt_.backlog) == 0, "listen() failed");
-    ::socklen_t len = sizeof addr;
-    GBX_CHECK(::getsockname(listen_.get(),
-                            reinterpret_cast<::sockaddr*>(&addr), &len) == 0,
-              "getsockname() failed");
-    port_ = ntohs(addr.sin_port);
-
-    loop_ = std::make_unique<EventLoop>();
-    wake_ = std::make_unique<WakeFd>();
-    loop_->add(listen_.get(), EPOLLIN);
-    loop_->add(wake_->get(), EPOLLIN);
-    stop_.store(false, std::memory_order_relaxed);
-    running_ = true;
-    thread_ = std::thread([this] { run(); });
-  }
+  void start() { service_.start(opt_.port); }
 
   /// Wake the loop, join it, close every socket. In-flight sessions
-  /// (parked batches, pending flushes) are dropped with an EOF — the
-  /// clean-shutdown contract is "no hang, no crash, no partial frame
-  /// applied", not "drain the world".
-  void stop() {
-    GBX_CHECK(running_, "IngestServer not started");
-    stop_.store(true, std::memory_order_relaxed);
-    wake_->wake();
-    thread_.join();
-    {
-      // The loop thread is gone; join() hands its role to this thread
-      // for the teardown.
-      gbx::ScopedThreadRole role(loop_role_);
-      sessions_.clear();
-    }
-    loop_.reset();
-    wake_.reset();
-    listen_.reset();
-    running_ = false;
-  }
+  /// (parked batches, pending flushes) are dropped with an EOF.
+  void stop() { service_.stop(); }
 
   /// Bound port (valid after start()).
-  std::uint16_t port() const { return port_; }
-  bool running() const { return running_; }
+  std::uint16_t port() const { return service_.port(); }
+  bool running() const { return service_.running(); }
   const ServerStats& stats() const { return stats_; }
 
  private:
-  struct Session {
-    explicit Session(Fd f, std::uint64_t cap, std::size_t home)
-        : fd(std::move(f)), dec(cap), home_lane(home) {}
-
-    Fd fd;
-    store::RecordFrameDecoder dec;
-    std::size_t home_lane;
-    std::string out;            ///< outbound bytes
-    std::size_t out_off = 0;    ///< sent prefix of `out`
-    bool want_write = false;    ///< EPOLLOUT currently armed
-    bool reading = true;        ///< EPOLLIN currently armed
-    bool parked = false;        ///< insert waiting for lane space
-    bool out_throttled = false; ///< reply backlog over cap; reads paused
+  struct Conn {
+    std::size_t home_lane = 0;
+    std::vector<bool> used_lanes;       ///< lanes this session ever fed
+    std::uint64_t pending_flushes = 0;  ///< kFlush frames awaiting their ack
+    bool parked = false;                ///< insert waiting for lane space
     std::size_t parked_lane = 0;
     gbx::Tuples<double> parked_batch;
-    std::vector<bool> used_lanes;  ///< lanes this session ever fed
-    std::uint64_t pending_flushes = 0;  ///< kFlush frames awaiting their ack
-    bool closing = false;       ///< destroy once out drains & flush done
-    bool dead = false;          ///< destroy now (I/O error / EOF final)
-
-    std::size_t out_pending() const { return out.size() - out_off; }
   };
+  using Service = FrameService<IngestServer, Conn>;
+  using Session = Service::Session;
+  friend Service;
 
-  void run() {
-    // The event-loop thread's entry point claims the role; every
-    // loop-only method below REQUIRES it, so calling one from another
-    // thread is a compile error under the thread-safety analysis.
-    gbx::ScopedThreadRole role(loop_role_);
-    while (!stop_.load(std::memory_order_relaxed)) {
-      // Parked batches and pending flushes have no wake event of their
-      // own (lanes drain on worker threads); poll them briskly.
-      const bool busy = have_parked_ || have_flush_;
-      for (const auto& ev : loop_->wait(busy ? 1 : 50)) {
-        if (stop_.load(std::memory_order_relaxed)) break;
-        if (ev.data.fd == wake_->get()) {
-          wake_->clear();
-        } else if (ev.data.fd == listen_.get()) {
-          accept_all();
-        } else {
-          auto it = sessions_.find(ev.data.fd);
-          if (it == sessions_.end()) continue;
-          Session& s = *it->second;
-          if (ev.events & EPOLLOUT) flush_out(s);
-          if (ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP))
-            if (!s.dead) read_session(s);
-        }
-      }
-      progress_pass();
-    }
+  // --- FrameService hooks (loop-thread entry points).
+
+  void on_open(Session& s) {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    s.state.home_lane = next_lane_++ % stream_->instances();
+    s.state.used_lanes.assign(stream_->instances(), false);
   }
 
-  void accept_all() GBX_REQUIRES(loop_role_) {
-    for (;;) {
-      Fd c(::accept4(listen_.get(), nullptr, nullptr,
-                     SOCK_NONBLOCK | SOCK_CLOEXEC));
-      if (!c.valid()) return;  // EAGAIN or transient error: next wave
-      const int one = 1;
-      ::setsockopt(c.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      const int fd = c.get();
-      auto s = std::make_unique<Session>(
-          std::move(c), opt_.max_frame_bytes,
-          next_lane_++ % stream_->instances());
-      s->used_lanes.assign(stream_->instances(), false);
-      loop_->add(fd, EPOLLIN | EPOLLRDHUP);
-      sessions_.emplace(fd, std::move(s));
-      stats_.sessions_accepted.fetch_add(1, std::memory_order_relaxed);
-    }
+  FrameAction on_frame(Session& s, store::LogRecord& rec) {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    return handle_frame(s, rec);
   }
 
-  /// Pull bytes until EAGAIN / EOF / park / corruption, decoding as we
-  /// go. Level-triggered epoll re-fires for anything left unread.
-  void read_session(Session& s) GBX_REQUIRES(loop_role_) {
-    char buf[1u << 16];
-    while (s.reading && !s.closing && !s.dead) {
-      const auto n = ::recv(s.fd.get(), buf, sizeof buf, 0);
-      if (n > 0) {
-        s.dec.feed(buf, static_cast<std::size_t>(n));
-        if (!process_frames(s)) break;  // parked or closing
-        continue;
+  void on_turn_end(Session&) {}
+
+  /// Retry parks, settle flush barriers. Parked batches and pending
+  /// flushes have no wake event of their own (lanes drain on worker
+  /// threads), so poll them briskly.
+  int on_pass() {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    bool busy = false;
+    for (auto& [fd, sp] : service_.sessions()) {
+      Session& s = *sp;
+      if (s.dead) continue;
+      Conn& c = s.state;
+      if (c.parked) {  // still full: stays parked, retried next pass
+        const FrameAction next = admit(s, c.parked_lane, c.parked_batch);
+        if (next == FrameAction::kContinue) service_.resume(s);
+        if (next == FrameAction::kClose) service_.close(s);
       }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        s.dead = true;
-        break;
-      }
-      // EOF. A partial frame at EOF is the torn-tail case: count it,
-      // drop it. Pending work (parked batch, flush barrier, queued
-      // replies) still completes before the session is destroyed.
-      if (s.dec.buffered() > 0 && !s.dec.corrupt())
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      s.reading = false;
-      s.closing = true;
-      break;
+      if (c.pending_flushes > 0) check_flush(s);
+      busy |= c.parked || c.pending_flushes > 0;
     }
-    update_interest(s);
+    return busy ? 1 : 50;
   }
 
-  /// Decode and dispatch every complete frame buffered on the session.
-  /// Returns false when processing must pause (lane full -> parked, or
-  /// the session started closing).
-  bool process_frames(Session& s) GBX_REQUIRES(loop_role_) {
-    store::LogRecord rec;
-    for (;;) {
-      switch (s.dec.next(rec)) {
-        case store::RecordFrameDecoder::Status::kNeedMore:
-          return true;
-        case store::RecordFrameDecoder::Status::kCorrupt:
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-          reply_error(s, MsgType::kInsert, s.dec.error());
-          s.reading = false;
-          s.closing = true;
-          return false;
-        case store::RecordFrameDecoder::Status::kFrame:
-          if (!handle_frame(s, rec)) return false;
-          // Reply backlog over cap: stop decoding (and reading) until
-          // the client drains it — progress_pass resumes the backlog.
-          if (s.out_throttled) return false;
-          break;
-      }
-    }
-  }
+  // --- dispatch.
 
-  /// Dispatch one frame. Returns false to pause processing (parked /
-  /// closing); the decoder keeps any backlog for later.
-  bool handle_frame(Session& s, store::LogRecord& rec)
-      GBX_REQUIRES(loop_role_) {
+  FrameAction handle_frame(Session& s, store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
     const MsgType type = tag_type(rec.epoch);
     const std::uint64_t arg = tag_arg(rec.epoch);
+    const bool want_prov = (arg & kWantProvenance) != 0;
     switch (type) {
       case MsgType::kInsert:
         return handle_insert(s, arg, rec);
       case MsgType::kFlush:
         // A counter, not a flag: pipelined flushes each get their own
         // ack (a client blocking per-flush would otherwise hang).
-        ++s.pending_flushes;
-        have_flush_ = true;
+        ++s.state.pending_flushes;
+        s.held = true;
         check_flush(s);
-        return !s.closing;
+        return FrameAction::kContinue;
       case MsgType::kQuerySum: {
         stats_.queries.fetch_add(1, std::memory_order_relaxed);
         // The unified snapshot-acquisition entry point (the governed
@@ -378,24 +226,17 @@ class IngestServer {
         r.sum = img.reduce();
         r.epoch = handle.epoch();
         r.nvals = img.nvals();
-        if (arg & kWantProvenance)
-          reply_ok_prov(s, type, &r, sizeof r, part_epochs(img),
-                        handle.epoch());
-        else
-          reply_ok(s, type, &r, sizeof r);
-        return !s.closing;
+        reply(s, type, &r, sizeof r, want_prov, handle.epoch(),
+              part_epochs(img));
+        return FrameAction::kContinue;
       }
       case MsgType::kQueryElements: {
         stats_.queries.fetch_add(1, std::memory_order_relaxed);
         std::vector<ElementQuery> qs;
-        if (!payload_as(rec.payload, qs)) {
-          stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-          reply_error(s, type, "element query payload is not a whole number "
-                               "of {row, col} probes");
-          s.reading = false;
-          s.closing = true;
-          return false;
-        }
+        if (!payload_as(rec.payload, qs))
+          return service_.reject(s, type,
+                                 "element query payload is not a whole "
+                                 "number of {row, col} probes");
         auto handle = hier::acquire_snapshot(*governor_);
         auto img = handle.pin();  // one pin, batched probes
         std::vector<ElementReply> rs(qs.size());
@@ -405,12 +246,9 @@ class IngestServer {
             rs[i].value = *v;
           }
         }
-        if (arg & kWantProvenance)
-          reply_ok_prov(s, type, rs.data(), rs.size() * sizeof(ElementReply),
-                        part_epochs(img), handle.epoch());
-        else
-          reply_ok(s, type, rs.data(), rs.size() * sizeof(ElementReply));
-        return !s.closing;
+        reply(s, type, rs.data(), rs.size() * sizeof(ElementReply), want_prov,
+              handle.epoch(), part_epochs(img));
+        return FrameAction::kContinue;
       }
       case MsgType::kQueryColumns: {
         stats_.queries.fetch_add(1, std::memory_order_relaxed);
@@ -423,13 +261,9 @@ class IngestServer {
         const auto colv = gbx::reduce_cols<gbx::PlusMonoid<double>>(m.view());
         const auto idx = colv.indices();
         static_assert(sizeof(gbx::Index) == sizeof(std::uint64_t));
-        if (arg & kWantProvenance)
-          reply_ok_prov(s, type, idx.data(),
-                        idx.size() * sizeof(std::uint64_t), part_epochs(img),
-                        handle.epoch());
-        else
-          reply_ok(s, type, idx.data(), idx.size() * sizeof(std::uint64_t));
-        return !s.closing;
+        reply(s, type, idx.data(), idx.size() * sizeof(std::uint64_t),
+              want_prov, handle.epoch(), part_epochs(img));
+        return FrameAction::kContinue;
       }
       case MsgType::kQueryMap: {
         // Standalone server: version 0 (placement never changes),
@@ -439,8 +273,8 @@ class IngestServer {
         r.parts = stream_->instances();
         r.nrows = nrows_;
         r.ncols = ncols_;
-        reply_ok(s, type, &r, sizeof r);
-        return !s.closing;
+        service_.reply(s, type, &r, sizeof r);
+        return FrameAction::kContinue;
       }
       case MsgType::kQuerySummary: {
         stats_.queries.fetch_add(1, std::memory_order_relaxed);
@@ -454,13 +288,10 @@ class IngestServer {
         r.destinations = sum.destinations;
         r.max_link = sum.max_link;
         r.mean_link = sum.mean_link;
-        if (arg & kWantProvenance)
-          // The analytics engine answers from its own maintained image;
-          // no per-part vector to report, just the epoch it describes.
-          reply_ok_prov(s, type, &r, sizeof r, {}, r.epoch);
-        else
-          reply_ok(s, type, &r, sizeof r);
-        return !s.closing;
+        // The analytics engine answers from its own maintained image:
+        // no per-part vector to report, just the epoch it describes.
+        reply(s, type, &r, sizeof r, want_prov, r.epoch);
+        return FrameAction::kContinue;
       }
       case MsgType::kQueryRefresh: {
         stats_.queries.fetch_add(1, std::memory_order_relaxed);
@@ -472,72 +303,40 @@ class IngestServer {
         r.changed = rep.changed;
         r.triangles = analytics_.triangles();
         r.sum = gbx::reduce_scalar<gbx::PlusMonoid<double>>(analytics_.sum());
-        if (arg & kWantProvenance)
-          reply_ok_prov(s, type, &r, sizeof r, {}, r.epoch);
-        else
-          reply_ok(s, type, &r, sizeof r);
-        return !s.closing;
+        reply(s, type, &r, sizeof r, want_prov, r.epoch);
+        return FrameAction::kContinue;
       }
       case MsgType::kBye:
-        reply_ok(s, type, "", 0);
-        s.reading = false;
-        s.closing = true;
-        return false;
+        service_.reply(s, type, "", 0);
+        return FrameAction::kClose;
       default:
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, type, "unknown message type");
-        s.reading = false;
-        s.closing = true;
-        return false;
+        return service_.reject(s, type, "unknown message type");
     }
   }
 
-  bool handle_insert(Session& s, std::uint64_t arg, store::LogRecord& rec)
-      GBX_REQUIRES(loop_role_) {
-    std::size_t lane = s.home_lane;
+  FrameAction handle_insert(Session& s, std::uint64_t arg,
+                            store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
+    std::size_t lane = s.state.home_lane;
     if (arg != kAnyLane) {
-      if (arg >= stream_->instances()) {
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, MsgType::kInsert, "insert lane out of range");
-        s.reading = false;
-        s.closing = true;
-        return false;
-      }
+      if (arg >= stream_->instances())
+        return service_.reject(s, MsgType::kInsert, "insert lane out of range");
       lane = static_cast<std::size_t>(arg);
     }
-    std::vector<gbx::Entry<double>> entries;
-    if (!payload_as(rec.payload, entries)) {
-      stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-      reply_error(s, MsgType::kInsert,
-                  "insert payload is not a whole number of entries");
-      s.reading = false;
-      s.closing = true;
-      return false;
-    }
-    // Validate coordinates BEFORE the batch reaches a lane: a bad
-    // coordinate must be a rejected frame on this session, never an
-    // exception inside a lane worker thread.
-    for (const auto& e : entries) {
-      if (e.row >= nrows_ || e.col >= ncols_) {
-        stats_.rejected_frames.fetch_add(1, std::memory_order_relaxed);
-        reply_error(s, MsgType::kInsert,
-                    "insert coordinate out of range: (" +
-                        std::to_string(e.row) + ", " + std::to_string(e.col) +
-                        ") vs " + std::to_string(nrows_) + " x " +
-                        std::to_string(ncols_));
-        s.reading = false;
-        s.closing = true;
-        return false;
-      }
-    }
     gbx::Tuples<double> batch;
-    batch.entries() = std::move(entries);
-    return submit_or_park(s, lane, batch);
+    const std::string bad = decode_insert(rec.payload.data(),
+                                          rec.payload.size(), nrows_, ncols_,
+                                          batch);
+    if (!bad.empty()) return service_.reject(s, MsgType::kInsert, bad);
+    return admit(s, lane, batch);
   }
 
-  /// try_submit with park-on-full: the back-pressure pivot.
-  bool submit_or_park(Session& s, std::size_t lane,
-                      gbx::Tuples<double>& batch) GBX_REQUIRES(loop_role_) {
+  /// try_submit with park-on-full — the back-pressure pivot, and the one
+  /// admit path of a fresh batch and a parked retry alike: kContinue on
+  /// acceptance, kPause while the lane is full, kClose once stopped.
+  FrameAction admit(Session& s, std::size_t lane, gbx::Tuples<double>& batch)
+      GBX_REQUIRES(service_.loop_role) {
+    Conn& c = s.state;
     const std::size_t n = batch.size();
     // try_submit consumes the batch on acceptance, but the replication
     // sink must only see batches that were actually accepted (a parked
@@ -550,128 +349,59 @@ class IngestServer {
       case hier::SubmitResult::kAccepted:
         if (opt_.replication != nullptr)
           opt_.replication->on_batch(lane, std::move(shipped));
-        s.used_lanes[lane] = true;
+        c.used_lanes[lane] = true;
+        c.parked = false;
+        c.parked_batch.clear();
         stats_.insert_frames.fetch_add(1, std::memory_order_relaxed);
         stats_.entries_ingested.fetch_add(n, std::memory_order_relaxed);
-        return true;
+        return FrameAction::kContinue;
       case hier::SubmitResult::kLaneFull:
-        s.parked = true;
-        s.parked_lane = lane;
-        s.parked_batch = std::move(batch);
-        s.reading = false;  // stop reading THIS connection only
-        have_parked_ = true;
-        stats_.parks.fetch_add(1, std::memory_order_relaxed);
-        return false;
+        if (!c.parked) {
+          c.parked = true;
+          c.parked_lane = lane;
+          c.parked_batch = std::move(batch);
+          stats_.parks.fetch_add(1, std::memory_order_relaxed);
+        }
+        return FrameAction::kPause;  // stop reading THIS connection only
       case hier::SubmitResult::kStopped:
-        reply_error(s, MsgType::kInsert, "ingest engine is stopped");
-        s.reading = false;
-        s.closing = true;
-        return false;
+        c.parked = false;
+        service_.reply_error(s, MsgType::kInsert, "ingest engine is stopped");
+        return FrameAction::kClose;
     }
-    return false;  // unreachable
-  }
-
-  /// Per-pass housekeeping: retry parks, settle flush barriers, reap
-  /// finished sessions.
-  void progress_pass() GBX_REQUIRES(loop_role_) {
-    have_parked_ = false;
-    have_flush_ = false;
-    std::vector<int> reap;
-    for (auto& [fd, sp] : sessions_) {
-      Session& s = *sp;
-      if (s.parked && !s.dead) {
-        const std::size_t n = s.parked_batch.size();
-        gbx::Tuples<double> shipped;  // see submit_or_park
-        if (opt_.replication != nullptr) shipped = s.parked_batch;
-        switch (stream_->try_submit(s.parked_lane, s.parked_batch)) {
-          case hier::SubmitResult::kAccepted:
-            if (opt_.replication != nullptr)
-              opt_.replication->on_batch(s.parked_lane, std::move(shipped));
-            s.used_lanes[s.parked_lane] = true;
-            stats_.insert_frames.fetch_add(1, std::memory_order_relaxed);
-            stats_.entries_ingested.fetch_add(n, std::memory_order_relaxed);
-            s.parked_batch.clear();
-            s.parked = false;
-            s.reading = !s.closing && !s.out_throttled;
-            // Drain the decoder backlog accumulated before the park; a
-            // second park here just re-enters the same state.
-            if (process_frames(s) && s.reading) read_session(s);
-            update_interest(s);
-            break;
-          case hier::SubmitResult::kLaneFull:
-            break;  // stay parked, retry next pass
-          case hier::SubmitResult::kStopped:
-            s.parked = false;
-            s.closing = true;
-            break;
-        }
-      }
-      // Reply-backlog throttle release: EPOLLOUT drains `out` on its
-      // own wake-ups; once below half the cap, resume reading and work
-      // through any frames decoded before the pause.
-      if (s.out_throttled && !s.dead &&
-          s.out_pending() <= opt_.max_outbound_bytes / 2) {
-        s.out_throttled = false;
-        if (!s.parked) {
-          s.reading = !s.closing;
-          if (process_frames(s) && s.reading) read_session(s);
-        }
-        update_interest(s);
-      }
-      if (s.pending_flushes > 0 && !s.dead) check_flush(s);
-      have_parked_ |= s.parked;
-      have_flush_ |= s.pending_flushes > 0;
-      if (s.dead ||
-          (s.closing && !s.parked && s.pending_flushes == 0 &&
-           s.out_off >= s.out.size()))
-        reap.push_back(fd);
-    }
-    for (int fd : reap) destroy(fd);
+    return FrameAction::kClose;  // unreachable
   }
 
   /// Flush barrier: everything this session submitted has been applied.
   /// Every flush received before the barrier cleared gets its own ack.
-  void check_flush(Session& s) GBX_REQUIRES(loop_role_) {
-    if (s.parked) return;
-    for (std::size_t p = 0; p < s.used_lanes.size(); ++p)
-      if (s.used_lanes[p] && !stream_->lane_idle(p)) return;
+  void check_flush(Session& s) GBX_REQUIRES(service_.loop_role) {
+    Conn& c = s.state;
+    if (c.parked) return;
+    for (std::size_t p = 0; p < c.used_lanes.size(); ++p)
+      if (c.used_lanes[p] && !stream_->lane_idle(p)) return;
     // Replication barrier (conservative, global): a flush ack promises
     // the batches survive a primary crash, so it must also wait for the
     // replica's cumulative durable ack to catch up with everything
     // shipped. The loop polls at 1ms while flushes are pending.
-    if (opt_.replication != nullptr && s.pending_flushes > 0 &&
-        !opt_.replication->all_durable())
+    if (opt_.replication != nullptr && !opt_.replication->all_durable())
       return;
-    while (s.pending_flushes > 0) {
-      --s.pending_flushes;
-      reply_ok(s, MsgType::kFlush, "", 0);
-    }
+    for (; c.pending_flushes > 0; --c.pending_flushes)
+      service_.reply(s, MsgType::kFlush, "", 0);
+    s.held = false;
   }
 
-  void reply_ok(Session& s, MsgType request, const void* payload,
-                std::size_t size) GBX_REQUIRES(loop_role_) {
-    append_frame(s.out, MsgType::kReplyOk,
-                 static_cast<std::uint64_t>(request), payload, size);
-    flush_out(s);
-    throttle_if_backlogged(s);
+  /// A query reply; with provenance, the snapshot epoch and the per-lane
+  /// epochs ride along as the revision-2 trailer.
+  void reply(Session& s, MsgType type, const void* payload, std::size_t size,
+             bool want_prov, std::uint64_t epoch,
+             std::vector<std::uint64_t> part_epochs = {})
+      GBX_REQUIRES(service_.loop_role) {
+    ReplyProvenance prov;
+    prov.snapshot_epoch = epoch;
+    prov.part_epochs = std::move(part_epochs);
+    service_.reply(s, type, payload, size, want_prov ? &prov : nullptr);
   }
 
-  /// Revision-2 reply: body + provenance trailer, with kWantProvenance
-  /// echoed in the arg so the client knows to split the trailer.
-  void reply_ok_prov(Session& s, MsgType request, const void* payload,
-                     std::size_t size,
-                     const std::vector<std::uint64_t>& epochs,
-                     std::uint64_t snapshot_epoch) GBX_REQUIRES(loop_role_) {
-    std::string body(size > 0 ? static_cast<const char*>(payload) : "", size);
-    append_provenance(body, epochs, snapshot_epoch, /*map_version=*/0);
-    append_frame(s.out, MsgType::kReplyOk,
-                 static_cast<std::uint64_t>(request) | kWantProvenance,
-                 body.data(), body.size());
-    flush_out(s);
-    throttle_if_backlogged(s);
-  }
-
-  /// Per-lane epoch vector of a pinned stream snapshot (provenance).
+  /// Per-lane epoch vector of a pinned stream snapshot.
   template <class Img>
   static std::vector<std::uint64_t> part_epochs(const Img& img) {
     std::vector<std::uint64_t> es(img.size());
@@ -679,92 +409,15 @@ class IngestServer {
     return es;
   }
 
-  void reply_error(Session& s, MsgType request, const std::string& what)
-      GBX_REQUIRES(loop_role_) {
-    append_frame(s.out, MsgType::kReplyError,
-                 static_cast<std::uint64_t>(request), what.data(),
-                 what.size());
-    flush_out(s);
-    throttle_if_backlogged(s);
-  }
-
-  /// Write-side back-pressure: a client that pipelines requests without
-  /// reading replies stops being read once its unsent backlog passes the
-  /// cap, so `out` can never grow without bound. progress_pass resumes
-  /// the session when the backlog halves.
-  void throttle_if_backlogged(Session& s) GBX_REQUIRES(loop_role_) {
-    if (s.dead || s.out_throttled ||
-        s.out_pending() <= opt_.max_outbound_bytes)
-      return;
-    s.out_throttled = true;
-    s.reading = false;
-    stats_.out_throttles.fetch_add(1, std::memory_order_relaxed);
-    update_interest(s);
-  }
-
-  /// Opportunistic nonblocking send; arms EPOLLOUT only on partials.
-  void flush_out(Session& s) GBX_REQUIRES(loop_role_) {
-    while (s.out_off < s.out.size()) {
-      const auto n = ::send(s.fd.get(), s.out.data() + s.out_off,
-                            s.out.size() - s.out_off, MSG_NOSIGNAL);
-      if (n > 0) {
-        s.out_off += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      s.dead = true;  // peer reset mid-reply
-      return;
-    }
-    if (s.out_off >= s.out.size()) {
-      s.out.clear();
-      s.out_off = 0;
-    }
-    update_interest(s);
-  }
-
-  void update_interest(Session& s) GBX_REQUIRES(loop_role_) {
-    if (s.dead) return;
-    const bool want_write = s.out_off < s.out.size();
-    std::uint32_t ev = EPOLLRDHUP;
-    if (s.reading && !s.closing) ev |= EPOLLIN;
-    if (want_write) ev |= EPOLLOUT;
-    loop_->mod(s.fd.get(), ev);
-    s.want_write = want_write;
-  }
-
-  void destroy(int fd) GBX_REQUIRES(loop_role_) {
-    auto it = sessions_.find(fd);
-    if (it == sessions_.end()) return;
-    loop_->del(fd);
-    sessions_.erase(it);
-    stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-  }
-
+  ServerStats stats_;
+  Service service_;
   Stream* stream_;
   Governor* governor_;
   Options opt_;
-  /// Single-thread discipline of the event loop, checked at compile
-  /// time: run() claims the role, loop-only methods REQUIRE it, and the
-  /// members below marked GBX_GUARDED_BY(loop_role_) are loop-thread
-  /// state (stop() re-claims the role after join() for the teardown).
-  gbx::ThreadRole loop_role_;
-  Analytics analytics_ GBX_GUARDED_BY(loop_role_);
+  Analytics analytics_ GBX_GUARDED_BY(service_.loop_role);
   gbx::Index nrows_;  ///< matrix dims, cached for insert validation
   gbx::Index ncols_;
-  ServerStats stats_;
-
-  Fd listen_;
-  std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<WakeFd> wake_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  bool running_ = false;
-  std::uint16_t port_ = 0;
-  std::size_t next_lane_ GBX_GUARDED_BY(loop_role_) = 0;  ///< round-robin
-  bool have_parked_ GBX_GUARDED_BY(loop_role_) = false;  ///< poll-timeout
-  bool have_flush_ GBX_GUARDED_BY(loop_role_) = false;   ///< hints
-  std::unordered_map<int, std::unique_ptr<Session>> sessions_
-      GBX_GUARDED_BY(loop_role_);
+  std::size_t next_lane_ GBX_GUARDED_BY(service_.loop_role) = 0;
 };
 
 }  // namespace net

@@ -15,14 +15,13 @@
 // reproduces every lane's matrix bit-for-bit.
 //
 // Batch payload layout (both the replication WAL record and the
-// kShipBatch frame): [lane u64][gbx::Entry<double> array].
+// kShipBatch frame): [lane u64][gbx::Entry<double> array] — the entry
+// array is an insert payload (net::decode_insert reads it).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "gbx/coo.hpp"
 #include "net/protocol.hpp"
@@ -61,23 +60,6 @@ inline std::string encode_batch_payload(std::size_t lane,
     out.append(reinterpret_cast<const char*>(es.data()),
                es.size() * sizeof(es[0]));
   return out;
-}
-
-/// Decode a shipping payload. False when malformed (short header or a
-/// fractional entry array) — the receiver treats that as a rejected
-/// frame, never a partial apply.
-inline bool decode_batch_payload(const std::vector<std::byte>& payload,
-                                 std::uint64_t& lane,
-                                 gbx::Tuples<double>& batch) {
-  if (payload.size() < sizeof(std::uint64_t)) return false;
-  std::memcpy(&lane, payload.data(), sizeof lane);
-  const std::size_t body = payload.size() - sizeof lane;
-  if (body % sizeof(gbx::Entry<double>) != 0) return false;
-  std::vector<gbx::Entry<double>> entries(body / sizeof(gbx::Entry<double>));
-  if (body > 0)
-    std::memcpy(entries.data(), payload.data() + sizeof lane, body);
-  batch = gbx::Tuples<double>(std::move(entries));
-  return true;
 }
 
 }  // namespace repl

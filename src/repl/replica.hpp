@@ -17,9 +17,9 @@
 //                torn suffixes are rejected LOUDLY — the connection is
 //                errored and closed, never partially applied), append
 //                the record to the replica's own WAL, submit to the
-//                lane. Acks are batched: after each socket read pass
-//                drains, the WAL is flushed ONCE and ONE cumulative
-//                kShipAck covers everything the pass admitted.
+//                lane. Acks are cumulative: at the end of each session
+//                turn, the WAL is flushed ONCE and ONE kShipAck covers
+//                everything the turn admitted.
 //                Persist-before-ack is the durability edge
 //                all_durable() leans on — an acked batch is in the
 //                flushed WAL, so it survives a replica crash-restart
@@ -46,27 +46,23 @@
 // Cold start: an existing WAL at wal_path is replayed through the same
 // ReplayCursor before the socket opens (crash-restart of the replica
 // itself), then appended to.
+//
+// Sessions and replies are net::FrameService's: a peer that pipelines
+// requests without reading replies is throttled alone, never stalling
+// the shipper's session.
 #pragma once
 
 #ifdef __linux__
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -78,7 +74,7 @@
 #include "hier/checkpoint.hpp"
 #include "hier/instance_array.hpp"
 #include "hier/parallel_stream.hpp"
-#include "net/event_loop.hpp"
+#include "net/frame_service.hpp"
 #include "net/protocol.hpp"
 #include "repl/protocol.hpp"
 #include "store/wal.hpp"
@@ -87,7 +83,6 @@ namespace repl {
 
 struct ReplicaOptions {
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
-  int backlog = 16;
   /// Primary lease: promote after this much shipper silence (only once
   /// a primary has been seen at all).
   int lease_ms = 200;
@@ -99,13 +94,13 @@ struct ReplicaOptions {
   std::uint64_t ncols = 0;
   hier::CutPolicy cuts = hier::CutPolicy::geometric(3, 2048, 8);
   bool auto_promote = true;
-  std::uint64_t max_frame_bytes = 64u << 20;
 };
 
 class ReplicaServer {
  public:
   explicit ReplicaServer(ReplicaOptions opt)
-      : opt_(std::move(opt)),
+      : service_(*this, stats_),
+        opt_(std::move(opt)),
         array_(opt_.lanes, static_cast<gbx::Index>(opt_.nrows),
                static_cast<gbx::Index>(opt_.ncols), opt_.cuts),
         stream_(array_),
@@ -113,7 +108,7 @@ class ReplicaServer {
     GBX_CHECK(!opt_.wal_path.empty(), "replica: wal_path required");
     // The loop thread does not exist yet; the constructing thread holds
     // the role for the cold replay.
-    gbx::ScopedThreadRole role(loop_role_);
+    gbx::ScopedThreadRole role(service_.loop_role);
     cold_replay();
     wal_out_.open(opt_.wal_path,
                   std::ios::binary | std::ios::out | std::ios::app);
@@ -123,54 +118,19 @@ class ReplicaServer {
   }
 
   ~ReplicaServer() {
-    if (running_) stop();
+    if (running()) stop();
   }
 
   void start() {
-    GBX_CHECK(!running_, "ReplicaServer already started");
-    listen_ = net::Fd(
-        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-    GBX_CHECK(listen_.valid(), "replica: socket() failed");
-    const int one = 1;
-    ::setsockopt(listen_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    ::sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(opt_.port);
-    GBX_CHECK(::bind(listen_.get(), reinterpret_cast<::sockaddr*>(&addr),
-                     sizeof addr) == 0,
-              "replica: bind() failed");
-    GBX_CHECK(::listen(listen_.get(), opt_.backlog) == 0,
-              "replica: listen() failed");
-    ::socklen_t len = sizeof addr;
-    GBX_CHECK(::getsockname(listen_.get(),
-                            reinterpret_cast<::sockaddr*>(&addr), &len) == 0,
-              "replica: getsockname() failed");
-    port_ = ntohs(addr.sin_port);
-
-    loop_ = std::make_unique<net::EventLoop>();
-    wake_ = std::make_unique<net::WakeFd>();
-    loop_->add(listen_.get(), EPOLLIN);
-    loop_->add(wake_->get(), EPOLLIN);
     stream_.start();
     streaming_ = true;
-    stop_.store(false, std::memory_order_relaxed);
-    running_ = true;
-    thread_ = std::thread([this] { run(); });
+    service_.start(opt_.port);
   }
 
   void stop() {
-    GBX_CHECK(running_, "ReplicaServer not started");
-    stop_.store(true, std::memory_order_relaxed);
-    wake_->wake();
-    thread_.join();
-    {
-      gbx::ScopedThreadRole role(loop_role_);
-      sessions_.clear();
-    }
-    loop_.reset();
-    wake_.reset();
-    listen_.reset();
+    service_.stop();
+    // join() handed the loop thread's role to this thread.
+    gbx::ScopedThreadRole role(service_.loop_role);
     // Drain the lane workers: every submitted batch is applied before
     // stop() returns, so the post-stop array()/lane_batches() reads see
     // exactly the acked state. A failed apply is silent divergence —
@@ -183,11 +143,10 @@ class ReplicaServer {
       GBX_CHECK(failed == 0, "replica: shipped batch failed to apply");
     }
     wal_out_.flush();
-    running_ = false;
   }
 
-  std::uint16_t port() const { return port_; }
-  bool running() const { return running_; }
+  std::uint16_t port() const { return service_.port(); }
+  bool running() const { return service_.running(); }
   bool promoted() const { return promoted_.load(std::memory_order_acquire); }
   std::uint64_t applied_seq() const {
     return applied_seq_.load(std::memory_order_acquire);
@@ -196,33 +155,32 @@ class ReplicaServer {
   /// In-process state reads — only meaningful after stop() (the loop
   /// thread owns these while running).
   hier::InstanceArray<double>& array() {
-    GBX_CHECK(!running_, "replica array() while running");
+    GBX_CHECK(!running(), "replica array() while running");
     return array_;
   }
   std::vector<std::uint64_t> lane_batches() const {
-    GBX_CHECK(!running_, "replica lane_batches() while running");
+    GBX_CHECK(!running(), "replica lane_batches() while running");
+    gbx::ScopedThreadRole role(service_.loop_role);
     return lane_batches_;
   }
 
  private:
-  struct Session {
-    explicit Session(net::Fd f, std::uint64_t cap, std::size_t home)
-        : fd(std::move(f)), dec(cap), home_lane(home) {}
-    net::Fd fd;
-    store::RecordFrameDecoder dec;
-    std::size_t home_lane;
+  struct Conn {
+    std::size_t home_lane = 0;
     bool is_shipper = false;
-    bool dead = false;
-    /// Batched acks: ship frames admitted this read pass; one cumulative
-    /// kShipAck (preceded by a WAL flush) is sent when the pass drains.
+    /// Ship frames admitted this turn; one cumulative kShipAck
+    /// (preceded by a WAL flush) is sent at the turn's end.
     bool ack_pending = false;
-    /// A kStall failpoint swallowed this pass's ack (the primary's
-    /// flush barrier must hold until a later pass re-covers it).
+    /// A kStall failpoint swallowed this turn's ack (the primary's
+    /// flush barrier must hold until a later turn re-covers it).
     bool suppress_ack = false;
   };
+  using Service = net::FrameService<ReplicaServer, Conn>;
+  using Session = Service::Session;
+  friend Service;
 
   // --- cold start ----------------------------------------------------------
-  void cold_replay() GBX_REQUIRES(loop_role_) {
+  void cold_replay() GBX_REQUIRES(service_.loop_role) {
     std::error_code ec;
     if (!std::filesystem::exists(opt_.wal_path, ec)) return;
     std::ifstream in(opt_.wal_path, std::ios::binary | std::ios::in);
@@ -237,111 +195,42 @@ class ReplicaServer {
     }
   }
 
-  // --- event loop ----------------------------------------------------------
-  void run() {
-    gbx::ScopedThreadRole role(loop_role_);
-    while (!stop_.load(std::memory_order_relaxed)) {
-      for (const auto& ev : loop_->wait(10)) {
-        if (stop_.load(std::memory_order_relaxed)) break;
-        if (ev.data.fd == wake_->get()) {
-          wake_->clear();
-        } else if (ev.data.fd == listen_.get()) {
-          accept_all();
-        } else {
-          auto it = sessions_.find(ev.data.fd);
-          if (it != sessions_.end()) read_session(*it->second);
-        }
-      }
-      check_lease();
-      reap();
-    }
+  // --- FrameService hooks (loop-thread entry points) -----------------------
+  void on_open(Session& s) {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    s.state.home_lane = next_home_lane_++ % opt_.lanes;
   }
 
-  void accept_all() GBX_REQUIRES(loop_role_) {
-    for (;;) {
-      // Blocking accepted sockets: recv uses MSG_DONTWAIT, sends are
-      // small and synchronous (acks, replies) — a replica pair has few
-      // well-behaved peers, unlike the hardened ingest front end.
-      net::Fd fd(::accept4(listen_.get(), nullptr, nullptr, SOCK_CLOEXEC));
-      if (!fd.valid()) return;
-      const int one = 1;
-      ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      const int raw = fd.get();
-      auto s = std::make_unique<Session>(std::move(fd), opt_.max_frame_bytes,
-                                         next_home_lane_++ % opt_.lanes);
-      loop_->add(raw, EPOLLIN);
-      sessions_.emplace(raw, std::move(s));
-    }
+  net::FrameAction on_frame(Session& s, store::LogRecord& rec) {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    return handle_frame(s, rec);
   }
 
-  void read_session(Session& s) GBX_REQUIRES(loop_role_) {
-    pump_session(s);
-    // End of the read pass: everything admitted above is persisted by
-    // ONE flush and covered by ONE cumulative ack — the write+fsync
-    // amortization that keeps replication off the ingest critical path.
-    if (s.ack_pending) {
-      s.ack_pending = false;
-      if (!s.suppress_ack && !s.dead) {
-        flush_wal();
-        std::string out;
-        net::append_frame(out, net::MsgType::kShipAck,
-                          applied_seq_.load(std::memory_order_relaxed));
-        send_all(s, out);
-      }
-      s.suppress_ack = false;
+  /// End of a turn: everything it admitted is persisted by ONE flush and
+  /// covered by ONE cumulative ack — the write amortization that keeps
+  /// replication off the ingest critical path.
+  void on_turn_end(Session& s) {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    Conn& c = s.state;
+    if (!c.ack_pending) return;
+    c.ack_pending = false;
+    if (!c.suppress_ack) {
+      flush_wal();
+      service_.send(s, net::MsgType::kShipAck,
+                    applied_seq_.load(std::memory_order_relaxed));
     }
+    c.suppress_ack = false;
   }
 
-  void pump_session(Session& s) GBX_REQUIRES(loop_role_) {
-    // Bounded pass: a shipper that streams faster than the lanes apply
-    // would otherwise keep this loop fed forever and the pass-end
-    // ack/flush would never run — acks must flow DURING a sustained
-    // stream, or the primary's flush barrier stalls against the ship
-    // window. Level-triggered epoll re-reports the fd immediately, so
-    // leftover bytes are picked up by the next pass (after the ack).
-    char buf[1u << 16];
-    for (int burst = 0; burst < 64; ++burst) {
-      const auto n = ::recv(s.fd.get(), buf, sizeof buf, MSG_DONTWAIT);
-      if (n > 0) {
-        s.dec.feed(buf, static_cast<std::size_t>(n));
-        if (!process_frames(s)) return;
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      if (n < 0 && errno == EINTR) continue;
-      s.dead = true;  // EOF or error
-      return;
-    }
+  int on_pass() {
+    gbx::ScopedThreadRole role(service_.loop_role);
+    check_lease();
+    return 10;  // lease granularity
   }
 
-  bool process_frames(Session& s) GBX_REQUIRES(loop_role_) {
-    store::LogRecord rec;
-    for (;;) {
-      switch (s.dec.next(rec)) {
-        case store::RecordFrameDecoder::Status::kNeedMore:
-          return true;
-        case store::RecordFrameDecoder::Status::kCorrupt:
-          // Loud: a corrupted shipped stream must never decay into a
-          // partial apply. The shipper reconnects and resumes cleanly.
-          reply_error(s, net::MsgType::kShipBatch,
-                      "replica: " + s.dec.error());
-          s.dead = true;
-          return false;
-        case store::RecordFrameDecoder::Status::kFrame:
-          try {
-            if (!handle_frame(s, rec)) return false;
-          } catch (const gbx::Error& e) {
-            reply_error(s, net::tag_type(rec.epoch), e.what());
-            s.dead = true;
-            return false;
-          }
-          break;
-      }
-    }
-  }
-
-  bool handle_frame(Session& s, store::LogRecord& rec)
-      GBX_REQUIRES(loop_role_) {
+  // --- dispatch ------------------------------------------------------------
+  net::FrameAction handle_frame(Session& s, store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
     const net::MsgType type = net::tag_type(rec.epoch);
     const std::uint64_t arg = net::tag_arg(rec.epoch);
     switch (type) {
@@ -350,8 +239,8 @@ class ReplicaServer {
       case net::MsgType::kShipBatch:
         return handle_ship_batch(s, arg, rec);
       case net::MsgType::kHeartbeat:
-        if (s.is_shipper) touch_lease();
-        return true;
+        if (s.state.is_shipper) touch_lease();
+        return net::FrameAction::kContinue;
       case net::MsgType::kQueryLaneEpochs: {
         // Failover clients resume from these counts and never re-send
         // below them — flush first so the reported boundary survives a
@@ -362,69 +251,63 @@ class ReplicaServer {
         out.push_back(promoted_.load(std::memory_order_relaxed) ? 1 : 0);
         out.push_back(applied_seq_.load(std::memory_order_relaxed));
         out.insert(out.end(), lane_batches_.begin(), lane_batches_.end());
-        reply_ok(s, type, out.data(), out.size() * sizeof(out[0]));
-        return true;
+        service_.reply(s, type, out.data(), out.size() * sizeof(out[0]));
+        return net::FrameAction::kContinue;
       }
       case net::MsgType::kQuerySum: {
-        // Per-lane reduce folded in lane order: deterministic, and
-        // bit-identical to the same fold over any equally-ordered
-        // per-lane state (the failover exactness probe).
-        SumLanes r = sum_lanes();
-        net::SumReply reply;
-        reply.sum = r.sum;
-        reply.epoch = applied_seq_.load(std::memory_order_relaxed);
-        reply.nvals = r.nvals;
-        reply_ok(s, type, &reply, sizeof reply);
-        return true;
+        // Quiesce the lane workers (this thread is the only submitter,
+        // so drain() terminates), then fold per-lane reduces in lane
+        // order: deterministic, and bit-identical to the same fold over
+        // any equally-ordered per-lane state (the failover exactness
+        // probe).
+        if (streaming_) stream_.drain();
+        net::SumReply r;
+        r.epoch = applied_seq_.load(std::memory_order_relaxed);
+        for (std::size_t p = 0; p < opt_.lanes; ++p) {
+          auto snap = array_.instance(p).freeze();
+          r.sum += snap.reduce();
+          r.nvals += snap.nvals();
+        }
+        service_.reply(s, type, &r, sizeof r);
+        return net::FrameAction::kContinue;
       }
       case net::MsgType::kInsert:
         return handle_insert(s, arg, rec);
       case net::MsgType::kFlush:
-        if (!promoted_.load(std::memory_order_relaxed)) {
-          reply_error(s, type, "replica not promoted");
-          s.dead = true;
-          return false;
-        }
+        if (!promoted_.load(std::memory_order_relaxed))
+          return service_.reject(s, type, "replica not promoted");
         // The barrier: applied (drain the lane workers) AND durable
         // (flush the WAL) before the ack goes out.
         if (streaming_) stream_.drain();
         flush_wal();
-        reply_ok(s, type, "", 0);
-        return true;
+        service_.reply(s, type, "", 0);
+        return net::FrameAction::kContinue;
       case net::MsgType::kBye:
-        reply_ok(s, type, "", 0);
-        s.dead = true;
-        return false;
+        service_.reply(s, type, "", 0);
+        return net::FrameAction::kClose;
       default:
-        reply_error(s, type, "replica: unsupported message type");
-        s.dead = true;
-        return false;
+        return service_.reject(s, type, "replica: unsupported message type");
     }
   }
 
-  bool handle_hello(Session& s, store::LogRecord& rec)
-      GBX_REQUIRES(loop_role_) {
+  net::FrameAction handle_hello(Session& s, store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
     ShipHello hello;
-    if (!net::payload_as(rec.payload, hello)) {
-      reply_error(s, net::MsgType::kShipHello, "replica: malformed hello");
-      s.dead = true;
-      return false;
-    }
-    if (promoted_.load(std::memory_order_relaxed)) {
+    if (!net::payload_as(rec.payload, hello))
+      return service_.reject(s, net::MsgType::kShipHello,
+                             "replica: malformed hello");
+    if (promoted_.load(std::memory_order_relaxed))
       // The fence: a deposed primary (or its reconnecting shipper) is
       // turned away for good.
-      reply_error(s, net::MsgType::kShipHello,
-                  "replica promoted: primary is fenced");
-      s.dead = true;
-      return false;
-    }
+      return service_.reject(s, net::MsgType::kShipHello,
+                             "replica promoted: primary is fenced");
     GBX_CHECK(hello.lanes == opt_.lanes && hello.nrows == opt_.nrows &&
                   hello.ncols == opt_.ncols,
               "replica: primary topology mismatch");
     // One shipper at a time: a re-handshake supersedes the old session.
-    for (auto& [fd, sp] : sessions_)
-      if (sp.get() != &s && sp->is_shipper) sp->dead = true;
-    s.is_shipper = true;
+    for (auto& [fd, sp] : service_.sessions())
+      if (sp.get() != &s && sp->state.is_shipper) service_.close(*sp);
+    s.state.is_shipper = true;
     seen_primary_ = true;
     touch_lease();
     cursor_ = std::make_unique<hier::ReplayCursor>(
@@ -434,24 +317,25 @@ class ReplicaServer {
     flush_wal();
     ShipHelloReply r;
     r.next_seq = applied_seq_.load(std::memory_order_relaxed) + 1;
-    reply_ok(s, net::MsgType::kShipHello, &r, sizeof r);
-    return true;
+    service_.reply(s, net::MsgType::kShipHello, &r, sizeof r);
+    return net::FrameAction::kContinue;
   }
 
-  bool handle_ship_batch(Session& s, std::uint64_t seq,
-                         store::LogRecord& rec) GBX_REQUIRES(loop_role_) {
-    GBX_CHECK(s.is_shipper, "replica: ship batch before hello");
+  net::FrameAction handle_ship_batch(Session& s, std::uint64_t seq,
+                                     store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
+    GBX_CHECK(s.state.is_shipper, "replica: ship batch before hello");
     GBX_CHECK(!promoted_.load(std::memory_order_relaxed),
               "replica promoted: primary is fenced");
     touch_lease();
-    // Any ship frame — including a benign duplicate — earns the pass's
+    // Any ship frame — including a benign duplicate — earns the turn's
     // cumulative ack (idempotent: it only ever re-states applied_seq_).
-    s.ack_pending = true;
+    s.state.ack_pending = true;
     // ReplayCursor admission: <= base is a benign duplicate (resend
     // across a reconnect), a gap or regression throws — gapped and
     // overlapping suffixes are rejected loudly, exactly as recover()
     // rejects them on a crash log.
-    if (!cursor_->admit(seq)) return true;
+    if (!cursor_->admit(seq)) return net::FrameAction::kContinue;
     apply_payload(seq, rec.payload, /*log=*/true);
     cursor_->mark_applied(seq);
 
@@ -461,73 +345,71 @@ class ReplicaServer {
           std::this_thread::sleep_for(
               std::chrono::milliseconds(fp->delay_ms));
         if (fp->action == gbx::FailAction::kStall)
-          s.suppress_ack = true;  // ack withheld: flush barrier holds
+          s.state.suppress_ack = true;  // ack withheld: flush barrier holds
       }
     }
-    return !s.dead;
+    return net::FrameAction::kContinue;
   }
 
-  bool handle_insert(Session& s, std::uint64_t arg, store::LogRecord& rec)
-      GBX_REQUIRES(loop_role_) {
-    if (!promoted_.load(std::memory_order_relaxed)) {
-      reply_error(s, net::MsgType::kInsert, "replica not promoted");
-      s.dead = true;
-      return false;
-    }
-    std::size_t lane = s.home_lane;
+  net::FrameAction handle_insert(Session& s, std::uint64_t arg,
+                                 store::LogRecord& rec)
+      GBX_REQUIRES(service_.loop_role) {
+    if (!promoted_.load(std::memory_order_relaxed))
+      return service_.reject(s, net::MsgType::kInsert, "replica not promoted");
+    std::size_t lane = s.state.home_lane;
     if (arg != net::kAnyLane) {
       GBX_CHECK(arg < opt_.lanes, "replica: insert lane out of range");
       lane = static_cast<std::size_t>(arg);
     }
     gbx::Tuples<double> batch;
-    std::vector<gbx::Entry<double>> entries;
-    GBX_CHECK(net::payload_as(rec.payload, entries),
-              "replica: insert payload is not a whole number of entries");
-    for (const auto& e : entries)
-      GBX_CHECK(e.row < opt_.nrows && e.col < opt_.ncols,
-                "replica: insert coordinate out of range");
-    batch.entries() = std::move(entries);
-    const std::uint64_t seq =
-        applied_seq_.load(std::memory_order_relaxed) + 1;
-    const std::string payload = encode_batch_payload(lane, batch);
-    writer_->append(seq, payload.data(), payload.size());
-    GBX_CHECK(wal_out_.good(), "replica: WAL write failed");
-    wal_dirty_ = true;  // flushed at the kFlush barrier — the only
-                        // point an insert's durability is promised
-    if (streaming_)
-      stream_.submit(lane, std::move(batch));
-    else
-      array_.instance(lane).update(batch);
-    ++lane_batches_[lane];
-    applied_seq_.store(seq, std::memory_order_release);
-    return true;
+    const std::string bad =
+        net::decode_insert(rec.payload.data(), rec.payload.size(),
+                           opt_.nrows, opt_.ncols, batch);
+    if (!bad.empty())
+      return service_.reject(s, net::MsgType::kInsert, "replica: " + bad);
+    // The insert is durable only at the kFlush barrier, which flushes.
+    const std::string record = encode_batch_payload(lane, batch);
+    apply(applied_seq_.load(std::memory_order_relaxed) + 1, lane,
+          std::move(batch), record.data(), record.size());
+    return net::FrameAction::kContinue;
   }
 
-  /// Decode, optionally persist, and hand one sequenced batch record to
-  /// its lane. Persist (WAL append) happens BEFORE the submit, and the
-  /// caller's pass-end flush happens BEFORE its ack — an acked batch is
-  /// always recoverable from the WAL even if a lane worker had not
-  /// applied it when the replica died. Cold replay (log=false) applies
-  /// directly: the stream is not running yet.
+  /// Decode one sequenced batch record ([lane u64][entries]) and apply
+  /// it, appending the record to the WAL when `log` (cold replay
+  /// re-applies what the WAL already holds).
   void apply_payload(std::uint64_t seq, const std::vector<std::byte>& payload,
-                     bool log) GBX_REQUIRES(loop_role_) {
+                     bool log) GBX_REQUIRES(service_.loop_role) {
     std::uint64_t lane = 0;
-    gbx::Tuples<double> batch;
-    GBX_CHECK(decode_batch_payload(payload, lane, batch),
+    GBX_CHECK(payload.size() >= sizeof lane,
               "replica: malformed shipped batch payload");
+    std::memcpy(&lane, payload.data(), sizeof lane);
     GBX_CHECK(lane < opt_.lanes, "replica: shipped lane out of range");
-    for (const auto& e : batch.entries())
-      GBX_CHECK(e.row < opt_.nrows && e.col < opt_.ncols,
-                "replica: shipped coordinate out of range");
-    if (log) {
-      writer_->append(seq, payload.data(), payload.size());
+    gbx::Tuples<double> batch;
+    const std::string bad = net::decode_insert(
+        payload.data() + sizeof lane, payload.size() - sizeof lane,
+        opt_.nrows, opt_.ncols, batch);
+    GBX_CHECK(bad.empty(), "replica: shipped " + bad);
+    apply(seq, static_cast<std::size_t>(lane), std::move(batch),
+          log ? payload.data() : nullptr, payload.size());
+  }
+
+  /// Persist (when `record` is non-null) and hand one sequenced batch to
+  /// its lane. The WAL append happens BEFORE the submit, and the turn-end
+  /// flush BEFORE its ack — an acked batch is always recoverable from
+  /// the WAL even if a lane worker had not applied it when the replica
+  /// died. Before start() (cold replay) the batch applies directly.
+  void apply(std::uint64_t seq, std::size_t lane, gbx::Tuples<double> batch,
+             const void* record, std::size_t record_size)
+      GBX_REQUIRES(service_.loop_role) {
+    if (record != nullptr) {
+      writer_->append(seq, record, record_size);
       GBX_CHECK(wal_out_.good(), "replica: WAL write failed");
       wal_dirty_ = true;
     }
     if (streaming_)
-      stream_.submit(static_cast<std::size_t>(lane), std::move(batch));
+      stream_.submit(lane, std::move(batch));
     else
-      array_.instance(static_cast<std::size_t>(lane)).update(batch);
+      array_.instance(lane).update(batch);
     ++lane_batches_[lane];
     applied_seq_.store(seq, std::memory_order_release);
   }
@@ -535,37 +417,19 @@ class ReplicaServer {
   /// One flush covers every append since the last — called before any
   /// ack, durability promise, or reported resume boundary leaves the
   /// process.
-  void flush_wal() GBX_REQUIRES(loop_role_) {
+  void flush_wal() GBX_REQUIRES(service_.loop_role) {
     if (!wal_dirty_) return;
     wal_out_.flush();
     GBX_CHECK(wal_out_.good(), "replica: WAL flush failed");
     wal_dirty_ = false;
   }
 
-  struct SumLanes {
-    double sum = 0;
-    std::uint64_t nvals = 0;
-  };
-  SumLanes sum_lanes() GBX_REQUIRES(loop_role_) {
-    // Quiesce the lane workers: this thread is the only submitter, so
-    // drain() terminates, and its lane handshake orders every applied
-    // batch before the freezes below.
-    if (streaming_) stream_.drain();
-    SumLanes r;
-    for (std::size_t p = 0; p < opt_.lanes; ++p) {
-      auto snap = array_.instance(p).freeze();
-      r.sum += snap.reduce();
-      r.nvals += snap.nvals();
-    }
-    return r;
-  }
-
   // --- lease / promotion ---------------------------------------------------
-  void touch_lease() GBX_REQUIRES(loop_role_) {
+  void touch_lease() GBX_REQUIRES(service_.loop_role) {
     last_activity_ = std::chrono::steady_clock::now();
   }
 
-  void check_lease() GBX_REQUIRES(loop_role_) {
+  void check_lease() GBX_REQUIRES(service_.loop_role) {
     if (!opt_.auto_promote || !seen_primary_ ||
         promoted_.load(std::memory_order_relaxed))
       return;
@@ -575,55 +439,12 @@ class ReplicaServer {
     promoted_.store(true, std::memory_order_release);
     // Sever the (dead or partitioned) shipper: if the primary is in
     // fact alive, its reconnect hello meets the fence above.
-    for (auto& [fd, sp] : sessions_)
-      if (sp->is_shipper) sp->dead = true;
+    for (auto& [fd, sp] : service_.sessions())
+      if (sp->state.is_shipper) service_.close(*sp);
   }
 
-  // --- plumbing ------------------------------------------------------------
-  void reply_ok(Session& s, net::MsgType request, const void* payload,
-                std::size_t size) GBX_REQUIRES(loop_role_) {
-    std::string out;
-    net::append_frame(out, net::MsgType::kReplyOk,
-                      static_cast<std::uint64_t>(request), payload, size);
-    send_all(s, out);
-  }
-
-  void reply_error(Session& s, net::MsgType request, const std::string& what)
-      GBX_REQUIRES(loop_role_) {
-    std::string out;
-    net::append_frame(out, net::MsgType::kReplyError,
-                      static_cast<std::uint64_t>(request), what.data(),
-                      what.size());
-    send_all(s, out);
-  }
-
-  void send_all(Session& s, const std::string& bytes)
-      GBX_REQUIRES(loop_role_) {
-    const char* p = bytes.data();
-    std::size_t n = bytes.size();
-    while (n > 0 && !s.dead) {
-      const auto w = ::send(s.fd.get(), p, n, MSG_NOSIGNAL);
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) {
-        s.dead = true;
-        return;
-      }
-      p += w;
-      n -= static_cast<std::size_t>(w);
-    }
-  }
-
-  void reap() GBX_REQUIRES(loop_role_) {
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (it->second->dead) {
-        loop_->del(it->first);
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
+  net::FrameStats stats_;
+  Service service_;
   ReplicaOptions opt_;
 
   /// Written by stream_'s lane workers while running (the loop thread
@@ -631,34 +452,25 @@ class ReplicaServer {
   /// replay and after stop() — both single-threaded by construction).
   hier::InstanceArray<double> array_;
   hier::ParallelStream<double> stream_;
-  std::vector<std::uint64_t> lane_batches_ GBX_GUARDED_BY(loop_role_);
-  std::ofstream wal_out_ GBX_GUARDED_BY(loop_role_);
-  bool wal_dirty_ GBX_GUARDED_BY(loop_role_) = false;
-  std::unique_ptr<store::RecordLogWriter> writer_ GBX_GUARDED_BY(loop_role_);
-  std::unique_ptr<hier::ReplayCursor> cursor_ GBX_GUARDED_BY(loop_role_);
+  std::vector<std::uint64_t> lane_batches_ GBX_GUARDED_BY(service_.loop_role);
+  std::ofstream wal_out_ GBX_GUARDED_BY(service_.loop_role);
+  bool wal_dirty_ GBX_GUARDED_BY(service_.loop_role) = false;
+  std::unique_ptr<store::RecordLogWriter> writer_
+      GBX_GUARDED_BY(service_.loop_role);
+  std::unique_ptr<hier::ReplayCursor> cursor_
+      GBX_GUARDED_BY(service_.loop_role);
 
   std::atomic<std::uint64_t> applied_seq_{0};
   std::atomic<bool> promoted_{false};
-  bool seen_primary_ GBX_GUARDED_BY(loop_role_) = false;
+  bool seen_primary_ GBX_GUARDED_BY(service_.loop_role) = false;
   std::chrono::steady_clock::time_point last_activity_
-      GBX_GUARDED_BY(loop_role_){};
+      GBX_GUARDED_BY(service_.loop_role){};
+  std::size_t next_home_lane_ GBX_GUARDED_BY(service_.loop_role) = 0;
 
-  net::Fd listen_;
-  std::unique_ptr<net::EventLoop> loop_;
-  std::unique_ptr<net::WakeFd> wake_;
-  std::unordered_map<int, std::unique_ptr<Session>> sessions_
-      GBX_GUARDED_BY(loop_role_);
-  std::size_t next_home_lane_ GBX_GUARDED_BY(loop_role_) = 0;
-
-  gbx::ThreadRole loop_role_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-  bool running_ = false;
   /// True between stream_.start() and stream_.stop(): toggled only
   /// while the loop thread does not exist (thread create/join orders
   /// the loop thread's reads), so a plain bool suffices.
   bool streaming_ = false;
-  std::uint16_t port_ = 0;
 };
 
 }  // namespace repl

@@ -84,7 +84,6 @@ struct ShipperOptions {
   int heartbeat_ms = 20;
   int reconnect_backoff_ms = 10;
   int max_backoff_ms = 500;
-  std::uint64_t max_frame_bytes = 64u << 20;
   std::uint64_t generation = 1;
   /// Max batches queued for the logger thread before on_batch blocks
   /// the accept path (the replication back-pressure bound).
@@ -278,7 +277,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
   /// the socket dies or we are stopped. Throws gbx::Error on any I/O
   /// trouble (caller reconnects).
   void run_session(net::Fd& fd) {
-    store::RecordFrameDecoder dec(opt_.max_frame_bytes);
+    store::RecordFrameDecoder dec(net::kMaxFrameBytes);
 
     // Handshake: who we are, where to resume.
     ShipHello hello;
@@ -309,7 +308,7 @@ class PrimaryReplicator final : public net::ReplicationSink {
     // Tail the WAL from the top, skipping already-applied records.
     std::ifstream wal_in(opt_.wal_path, std::ios::binary | std::ios::in);
     GBX_CHECK(wal_in.good(), "shipper: cannot re-open replication WAL");
-    store::RecordLogTailer tailer(wal_in, opt_.max_frame_bytes);
+    store::RecordLogTailer tailer(wal_in, net::kMaxFrameBytes);
 
     std::uint64_t last_sent = next - 1;
     auto last_beat = std::chrono::steady_clock::now();

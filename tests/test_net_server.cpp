@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "gbx/error.hpp"
 #include "gen/kronecker.hpp"
 #include "hier/hier.hpp"
@@ -175,12 +176,20 @@ TEST(NetServer, ConcurrentClientsMatchDirectIngestExactly) {
   EXPECT_EQ(h.server->stats().rejected_frames.load(), 0u);
 }
 
-TEST(NetServer, MalformedFramesEarnErrorReplyAndClose) {
-  ServerHarness h(1);
+/// The malformed-frame rules every frame server shares: a bad frame
+/// earns kReplyError and a close and counts in rejected_frames, a torn
+/// tail is counted and dropped, and a fresh session still works after.
+/// `lane` is the insert placement the target accepts for a good batch.
+template <class Target>
+void check_malformed_frames(Target& target, std::uint64_t lane) {
+  const std::uint16_t port = target.port();
+  const auto rejected = [&target] {
+    return target.stats().rejected_frames.load(std::memory_order_relaxed);
+  };
 
   {  // Garbage bytes: bad magic -> kReplyError, then EOF.
     net::Client cl;
-    cl.connect("127.0.0.1", h.server->port());
+    cl.connect("127.0.0.1", port);
     std::vector<unsigned char> junk(32, 0xAB);
     cl.send_raw(junk.data(), junk.size());
     auto rec = cl.read_reply();
@@ -190,7 +199,7 @@ TEST(NetServer, MalformedFramesEarnErrorReplyAndClose) {
 
   {  // Valid framing, corrupted payload byte: checksum mismatch.
     net::Client cl;
-    cl.connect("127.0.0.1", h.server->port());
+    cl.connect("127.0.0.1", port);
     auto g = kron(5);
     auto batch = g.batch<double>(64);
     std::string frame;
@@ -208,7 +217,7 @@ TEST(NetServer, MalformedFramesEarnErrorReplyAndClose) {
 
   {  // Payload that is not a whole number of entries.
     net::Client cl;
-    cl.connect("127.0.0.1", h.server->port());
+    cl.connect("127.0.0.1", port);
     std::string frame;
     const char odd[7] = {0};
     net::append_frame(frame, net::MsgType::kInsert, 0, odd, sizeof odd);
@@ -217,13 +226,12 @@ TEST(NetServer, MalformedFramesEarnErrorReplyAndClose) {
     EXPECT_EQ(net::tag_type(rec.epoch), net::MsgType::kReplyError);
   }
 
-  const auto rejected_before =
-      h.server->stats().rejected_frames.load(std::memory_order_relaxed);
+  const auto rejected_before = rejected();
   EXPECT_GE(rejected_before, 3u);
 
   {  // Truncated frame (torn tail): counted, dropped, no crash.
     net::Client cl;
-    cl.connect("127.0.0.1", h.server->port());
+    cl.connect("127.0.0.1", port);
     auto g = kron(6);
     auto batch = g.batch<double>(64);
     std::string frame;
@@ -234,22 +242,43 @@ TEST(NetServer, MalformedFramesEarnErrorReplyAndClose) {
     cl.close();  // mid-frame EOF
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (h.server->stats().rejected_frames.load(std::memory_order_relaxed) <=
-               rejected_before &&
+    while (rejected() <= rejected_before &&
            std::chrono::steady_clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_GT(h.server->stats().rejected_frames.load(std::memory_order_relaxed),
-              rejected_before);
+    EXPECT_GT(rejected(), rejected_before);
   }
 
   // A well-formed session on the same server still works afterwards.
   net::Client cl;
-  cl.connect("127.0.0.1", h.server->port());
+  cl.connect("127.0.0.1", port);
   auto g = kron(7);
-  cl.insert(g.batch<double>(500), 0);
+  cl.insert(g.batch<double>(500), lane);
   cl.flush();
   EXPECT_EQ(cl.query_sum().sum, 500.0);
   cl.bye();
+}
+
+TEST(NetServer, MalformedFramesEarnErrorReplyAndClose) {
+  ServerHarness h(1);
+  check_malformed_frames(*h.server, 0);
+}
+
+// The same rules hold at a cluster::Router, whose final Σ is stitched
+// across its workers.
+TEST(NetServer, RouterMalformedFramesEarnErrorReplyAndClose) {
+  cluster::WorkerConfig cfg;
+  cfg.nrows = kDim;
+  cfg.ncols = kDim;
+  cfg.cuts = CutPolicy::geometric(3, 2048, 8);
+  cluster::LocalWorkerPool pool(2, cfg);
+  cluster::Router::Options ropt;
+  ropt.nrows = kDim;
+  ropt.ncols = kDim;
+  ropt.worker_recv_timeout_ms = 5000;
+  cluster::Router router(pool.map(), ropt);
+  router.start();
+  check_malformed_frames(router, net::kAnyLane);
+  router.stop();
 }
 
 TEST(NetServer, OutOfRangeInsertCoordinateIsRejectedNotFatal) {

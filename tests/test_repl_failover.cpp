@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
@@ -38,6 +39,9 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "gbx/error.hpp"
@@ -281,6 +285,90 @@ TEST_F(ReplFailover, PartitionFencesLivePrimary) {
   torture_round(rng_, 0, /*partition=*/true, "partition", r);
   EXPECT_GE(r.failed_over, 1u)
       << "partition never forced a failover — stall window too short?";
+}
+
+// A replica peer that pipelines requests and never reads the replies
+// must not stall replication: the replica keeps reading its shipper,
+// acks keep flowing, and a replicated flush returns in time.
+TEST_F(ReplFailover, StalledReplicaPeerDoesNotStallReplication) {
+  const std::string primary_wal = tmp_path("repl_stall_primary_wal");
+  const std::string replica_wal = tmp_path("repl_stall_replica_wal");
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
+  const auto work = make_work(rng_);
+
+  repl::ReplicaOptions ropt;
+  ropt.wal_path = replica_wal;
+  ropt.lanes = kLanes;
+  ropt.nrows = kDim;
+  ropt.ncols = kDim;
+  ropt.cuts = cuts();
+  ropt.auto_promote = false;
+  repl::ReplicaServer replica(ropt);
+  replica.start();
+  auto rig = std::make_unique<PrimaryRig>(replica.port(), primary_wal);
+
+  // The stalled peer: a tiny receive window it never drains, and
+  // kQueryLaneEpochs requests whose replies total twice the most the
+  // kernel buffers for the replica's socket (tcp_wmem's max, only read
+  // here). A replica that answered with blocking sends would wedge on
+  // this peer for good.
+  std::size_t wmem_max = 4u << 20;
+  {
+    std::ifstream f("/proc/sys/net/ipv4/tcp_wmem");
+    std::size_t lo = 0, def = 0, hi = 0;
+    if (f >> lo >> def >> hi) wmem_max = hi;
+  }
+  std::string probe;
+  net::append_frame(probe, net::MsgType::kQueryLaneEpochs);
+  const std::size_t reply_bytes =
+      probe.size() + (2 + kLanes) * sizeof(std::uint64_t);
+  std::string pipeline;
+  for (std::size_t i = 0; i < 2 * wmem_max / reply_bytes + 1; ++i)
+    pipeline += probe;
+
+  const int peer = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(peer, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(peer, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  ::sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(replica.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(peer, reinterpret_cast<::sockaddr*>(&addr), sizeof addr),
+            0);
+  std::thread stalled([&] {
+    // Blocks once the replica stops reading this peer; the shutdown()
+    // below ends it.
+    for (std::size_t off = 0; off < pipeline.size();) {
+      const auto n = ::send(peer, pipeline.data() + off,
+                            pipeline.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return;
+      off += static_cast<std::size_t>(n);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  // Meanwhile a client streams through the replicating primary. Its
+  // flush is acked only once the replica acked every batch.
+  net::Client::Options copt;
+  copt.recv_timeout_ms = 5000;
+  net::Client cli(copt);
+  cli.connect("127.0.0.1", rig->server->port());
+  for (const auto& b : work[0]) cli.insert(b, 0);
+  EXPECT_NO_THROW(cli.flush())
+      << "a stalled replica peer blocked the replica's loop: no ship acks";
+
+  // Close the stalled peer before teardown either way.
+  ::shutdown(peer, SHUT_RDWR);
+  stalled.join();
+  ::close(peer);
+  cli.close();
+  rig.reset();
+  replica.stop();
+  EXPECT_EQ(replica.lane_batches()[0], kBatches);
+  std::filesystem::remove(primary_wal);
+  std::filesystem::remove(replica_wal);
 }
 
 // Cold-restart of the replica: its own WAL replays to the exact state.
